@@ -14,7 +14,7 @@ from .core import (ALL_FAMILIES, CorrelatedBits, CostFamily, DomainError,
                    cost_eval, cost_inverse_in_v, generate_population)
 from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, group_privacy_factor,
                  lap_sample, lap_tail_prob, laplace_estimator,
-                 privacy_ratio_bound, trial_stream)
+                 privacy_ratio_bound, trial_estimates, trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance,
                          fair_query, fixed_price_mechanism, min_cost_auction)
 from .verify import (MisreportGrid, VerificationReport,

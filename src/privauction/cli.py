@@ -14,12 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -147,33 +143,14 @@ def _mechanism(config: ExperimentConfig):
     return min_cost_auction
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PRIVAUCTION_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_record(config: ExperimentConfig) -> dict:
-    """Execute the scenario `trials` times; aggregate into one record."""
-    inst = _instance(config)
+def _run_record(config: ExperimentConfig, inst) -> dict:
+    """Run the mechanism once per trial, trial t on `trial_stream(seed, t)`;
+    aggregate into one record."""
     mech = _mechanism(config)
     n = inst.pop.n
     s = inst.pop.total
-    estimates = np.empty(config.trials)
-
-    def one(t: int) -> None:
-        out = mech(inst, trial_stream(config.seed, t))
-        estimates[t] = out.estimate
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(config.trials)))
-    else:
-        for t in range(config.trials):
-            one(t)
-
+    estimates = np.array([mech(inst, trial_stream(config.seed, t)).estimate
+                          for t in range(config.trials)])
     # payments and winner sets are deterministic; take them from trial 0
     out0 = mech(inst, trial_stream(config.seed, 0))
     k = out0.winner_count
@@ -196,11 +173,9 @@ def _run_record(config: ExperimentConfig) -> dict:
     }
 
 
-def _quick_verification(config: ExperimentConfig) -> List[dict]:
-    """Deterministic per-outcome checks embedded in run/sweep reports."""
-    inst = _instance(config)
-    mech = _mechanism(config)
-    out = mech(inst, trial_stream(config.seed, 0))
+def _quick_verification(config: ExperimentConfig, inst) -> List[dict]:
+    """Deterministic per-outcome checks embedded in run reports."""
+    out = _mechanism(config)(inst, trial_stream(config.seed, 0))
     reports = [
         verify_mod.check_individual_rationality(out, inst.pop, inst.model),
         verify_mod.check_envy_freeness(out, inst.pop, inst.model),
@@ -241,7 +216,7 @@ def _emit(report: dict, config: ExperimentConfig, stream) -> None:
     if config.output_format == "csv":
         _emit_csv(report, stream)
     else:
-        json.dump(report, stream, indent=2, sort_keys=True)
+        json.dump(report, stream, indent=2, sort_keys=True, allow_nan=False)
         stream.write("\n")
 
 
@@ -267,13 +242,13 @@ def _write_report(report: dict, config: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run(config: ExperimentConfig) -> int:
-    record = _run_record(config)
+    inst = _instance(config)
     report = {
         "version": REPORT_VERSION,
         "command": "run",
         "config": config.to_dict(),
-        "records": [record],
-        "verification": _quick_verification(config),
+        "records": [_run_record(config, inst)],
+        "verification": _quick_verification(config, inst),
     }
     _write_report(report, config)
     return 0
@@ -307,7 +282,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     for value in config.sweep["values"]:
         sub = _sweep_config(config, value)
         try:
-            rec = _run_record(sub)
+            rec = _run_record(sub, _instance(sub))
             rec["swept_value"] = value
             rec["error"] = ""
         except DomainError as exc:

@@ -284,6 +284,9 @@ class MechanismOutcome:
         epsilons = np.asarray(self.epsilons, dtype=float)
         if payments.shape != epsilons.shape or payments.ndim != 1:
             raise DomainError("payments and epsilons must be 1-d and equal length")
+        if not (np.all(np.isfinite(payments)) and math.isfinite(self.analyst_charge)):
+            raise DomainError("payments and analyst charge must be finite "
+                              "(a cost overflowed)")
         if np.any(payments < 0) or np.any(epsilons < 0):
             raise DomainError("payments and epsilons must be >= 0")
         total = payments.sum()

@@ -3,8 +3,8 @@ and analytic privacy calculations.
 
 Random streams are explicit `numpy.random.Generator` values passed in, never
 global.  Monte Carlo runs derive one stream per trial from (seed, trial) via
-a counter-based bit generator, so results are reproducible independent of
-parallelism.
+a counter-based bit generator, so results do not depend on the order in
+which trials run.
 """
 
 from __future__ import annotations
@@ -97,45 +97,47 @@ def group_privacy_factor(epsilons, group) -> float:
 class EstimatorPlan:
     """Which agents' bits the noisy sum uses, and how it is noised.
 
-    The estimate is sum of winners' bits + offset + Laplace(noise_scale).
+    The estimate is sum of winners' bits + offset + Laplace(noise_scale),
+    with noise_scale = n - |winners| and offset = noise_scale / 2.  With no
+    winners it is n/2 + Laplace(n).
     """
 
     n: int
     winners: frozenset
-    noise_scale: float
-    offset: float
 
     def __post_init__(self):
         winners = frozenset(int(i) for i in self.winners)
         object.__setattr__(self, "winners", winners)
-        if not (1 <= len(winners) <= self.n - 1):
-            raise DomainError("estimator plan needs 1 <= |winners| <= n-1")
+        if len(winners) > self.n - 1:
+            raise DomainError("estimator plan needs |winners| <= n-1")
         if winners and (min(winners) < 0 or max(winners) >= self.n):
             raise DomainError("winner indices out of range")
-        _check_scale(self.noise_scale)
 
     @property
-    def alpha_fraction(self) -> float:
-        """Fraction of agents left out: |winners| = (1 - alpha) * n."""
-        return 1.0 - len(self.winners) / self.n
+    def noise_scale(self) -> float:
+        return float(self.n - len(self.winners))
+
+    @property
+    def offset(self) -> float:
+        return self.noise_scale / 2.0
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        """Privacy levels: 1/noise_scale for winners, 0 otherwise."""
+        epsilons = np.zeros(self.n)
+        epsilons[np.fromiter(self.winners, dtype=int)] = 1.0 / self.noise_scale
+        return epsilons
 
 
-def laplace_estimator(pop: Population, plan: EstimatorPlan, rng: np.random.Generator):
-    """Noisy sum over the plan's winner set.
-
-    Returns (estimate, epsilons): estimate = winners' bit sum + offset +
-    Laplace(noise_scale); eps_i = 1/noise_scale for winners, 0 otherwise.
-    """
+def laplace_estimator(pop: Population, plan: EstimatorPlan,
+                      rng: np.random.Generator) -> float:
+    """Noisy sum over the plan's winner set: winners' bit sum + offset +
+    Laplace(noise_scale)."""
     if plan.n != pop.n:
         raise DomainError("plan size does not match population")
-    if abs(plan.noise_scale - (pop.n - len(plan.winners))) > 1e-12:
-        raise DomainError("noise scale must equal n - |winners|")
     idx = np.fromiter(plan.winners, dtype=int)
     t = float(pop.bits[idx].sum()) + plan.offset
-    estimate = t + lap_sample(plan.noise_scale, rng)
-    epsilons = np.zeros(pop.n)
-    epsilons[idx] = 1.0 / plan.noise_scale
-    return estimate, epsilons
+    return t + lap_sample(plan.noise_scale, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +156,16 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     bitgen = np.random.Philox(key=int(seed) & ((1 << 64) - 1),
                               counter=[0, 0, 0, int(trial)])
     return np.random.Generator(bitgen)
+
+
+def trial_estimates(pop: Population, plan: EstimatorPlan, seed: int,
+                    trials: int) -> np.ndarray:
+    """The plan's estimate in each of trials 0..trials-1, trial t drawn from
+    `trial_stream(seed, t)`.
+
+    Payments and privacy levels are deterministic, so a mechanism run with
+    that stream returns the same estimate; callers allocate once and draw
+    only the noise per trial.
+    """
+    return np.array([laplace_estimator(pop, plan, trial_stream(seed, t))
+                     for t in range(trials)])

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CostFamily, DomainError, MechanismOutcome, Population, cost_eval
-from .dp import ACCURACY_CONST, EstimatorPlan, lap_sample, laplace_estimator
+from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
+from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,20 @@ def _sorted_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
-def _estimate_for_winners(pop: Population, order: np.ndarray, k: int,
-                          rng: np.random.Generator):
-    """Noisy sum over the k cheapest agents; k = 0 degenerates to n/2 + Lap(n)."""
-    n = pop.n
-    if k == 0:
-        estimate = n / 2.0 + lap_sample(float(n), rng)
-        return estimate, np.zeros(n), float(n)
-    scale = float(n - k)
-    plan = EstimatorPlan(n=n, winners=frozenset(int(i) for i in order[:k]),
-                         noise_scale=scale, offset=scale / 2.0)
-    estimate, epsilons = laplace_estimator(pop, plan, rng)
-    return estimate, epsilons, scale
+def _outcome(pop: Population, order: np.ndarray, k: int, payments: np.ndarray,
+             analyst_charge: float, rng: np.random.Generator,
+             ir_feasible: bool = True) -> MechanismOutcome:
+    """The k first agents of `order` win; one noisy sum over their bits."""
+    plan = EstimatorPlan(pop.n, order[:k])
+    return MechanismOutcome(
+        estimate=laplace_estimator(pop, plan, rng),
+        payments=payments,
+        epsilons=plan.epsilons,
+        analyst_charge=analyst_charge,
+        winners=plan.winners,
+        noise_scale=plan.noise_scale,
+        ir_feasible=ir_feasible,
+    )
 
 
 def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutcome:
@@ -96,7 +99,6 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
             k = int(ks[feasible][-1])
 
     payments = np.zeros(n)
-    epsilons_scale = 0.0
     if k > 0:
         eps = 1.0 / (n - k)
         price = min(budget / k, cost_eval(model, v_sorted[k], eps))
@@ -106,18 +108,7 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
         while payments.sum() > budget:
             price = np.nextafter(price, 0.0)
             payments[order[:k]] = price
-        epsilons_scale = eps
-
-    estimate, epsilons, scale = _estimate_for_winners(pop, order, k, rng)
-    assert k == 0 or abs(epsilons[order[0]] - epsilons_scale) < 1e-15
-    return MechanismOutcome(
-        estimate=estimate,
-        payments=payments,
-        epsilons=epsilons,
-        analyst_charge=float(payments.sum()),
-        winners=frozenset(int(i) for i in order[:k]),
-        noise_scale=scale,
-    )
+    return _outcome(pop, order, k, payments, float(payments.sum()), rng)
 
 
 def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> MechanismOutcome:
@@ -139,16 +130,7 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
 
     payments = np.zeros(n)
     payments[order[:k]] = w_sorted[k]
-
-    estimate, epsilons, scale = _estimate_for_winners(pop, order, k, rng)
-    return MechanismOutcome(
-        estimate=estimate,
-        payments=payments,
-        epsilons=epsilons,
-        analyst_charge=float(k * w_sorted[k]),
-        winners=frozenset(int(i) for i in order[:k]),
-        noise_scale=scale,
-    )
+    return _outcome(pop, order, k, payments, float(k * w_sorted[k]), rng)
 
 
 def fixed_price_mechanism(pop: Population, model: CostFamily, k: int, price: float,
@@ -173,14 +155,5 @@ def fixed_price_mechanism(pop: Population, model: CostFamily, k: int, price: flo
         eps = 1.0 / (n - k)
         payments[order[:k]] = price
         feasible = price >= cost_eval(model, pop.values[order[k - 1]], eps)
-
-    estimate, epsilons, scale = _estimate_for_winners(pop, order, k, rng)
-    return MechanismOutcome(
-        estimate=estimate,
-        payments=payments,
-        epsilons=epsilons,
-        analyst_charge=float(payments.sum()),
-        winners=frozenset(int(i) for i in order[:k]),
-        noise_scale=scale,
-        ir_feasible=bool(feasible),
-    )
+    return _outcome(pop, order, k, payments, float(payments.sum()), rng,
+                    ir_feasible=bool(feasible))

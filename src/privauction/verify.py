@@ -17,9 +17,10 @@ import numpy as np
 
 from .core import (CostFamily, DomainError, MechanismOutcome, Population,
                    TOL, cost_eval)
-from .dp import ACCURACY_CONST, lap_density, privacy_ratio_bound, trial_stream
+from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
+                 trial_estimates, trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
-                         min_cost_auction, _sorted_order)
+                         min_cost_auction)
 
 Instance = Union[BudgetInstance, AccuracyInstance]
 Mechanism = Callable[[Instance, np.random.Generator], MechanismOutcome]
@@ -267,16 +268,18 @@ def _fixed_price_guarantees_k(w: np.ndarray, k: int, price: float) -> bool:
 
 def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: float,
                       trials: int, seed: int) -> float:
-    """Empirical Pr[|estimate - s| >= error_bound] over seeded trials."""
+    """Empirical Pr[|estimate - s| >= error_bound] over seeded trials.
+
+    The mechanism runs once; trial t's estimate is the shared noisy sum over
+    its winners drawn from `trial_stream(seed, t)`, which is what running the
+    mechanism with that stream returns.
+    """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    s = instance.pop.total
-    misses = 0
-    for t in range(trials):
-        out = mechanism(instance, trial_stream(seed, t))
-        if abs(out.estimate - s) >= error_bound:
-            misses += 1
-    return misses / trials
+    pop = instance.pop
+    out = mechanism(instance, trial_stream(seed, 0))
+    estimates = trial_estimates(pop, EstimatorPlan(pop.n, out.winners), seed, trials)
+    return int(np.count_nonzero(np.abs(estimates - pop.total) >= error_bound)) / trials
 
 
 def check_estimator_privacy(noise_scale: float, shift: float = 1.0,

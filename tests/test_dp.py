@@ -110,14 +110,13 @@ def test_group_privacy_multiplicative():
 
 def test_estimator_deterministic_part():
     pop = Population(bits=np.ones(10, int), values=np.arange(10.0))
-    plan = EstimatorPlan(n=10, winners=frozenset(range(8)), noise_scale=2.0,
-                         offset=1.0)
-    rng = np.random.default_rng(0)
-    estimate, epsilons = laplace_estimator(pop, plan, rng)
+    plan = EstimatorPlan(n=10, winners=frozenset(range(8)))
+    assert (plan.noise_scale, plan.offset) == (2.0, 1.0)
+    estimate = laplace_estimator(pop, plan, np.random.default_rng(0))
     noise = lap_sample(2.0, np.random.default_rng(0))
     assert estimate - noise == pytest.approx(9.0)          # t = 8 + 1
     assert abs(9.0 - pop.total) == 1.0                      # |t - s| = offset
-    np.testing.assert_array_equal(epsilons, [0.5] * 8 + [0.0, 0.0])
+    np.testing.assert_array_equal(plan.epsilons, [0.5] * 8 + [0.0, 0.0])
 
 
 def test_estimator_ignores_non_winner_bits():
@@ -125,25 +124,26 @@ def test_estimator_ignores_non_winner_bits():
     bits = np.ones(10, int)
     flipped = bits.copy()
     flipped[9] = 0
-    plan = EstimatorPlan(n=10, winners=frozenset(range(8)), noise_scale=2.0,
-                         offset=1.0)
-    e1, _ = laplace_estimator(Population(bits=bits, values=values), plan,
-                              np.random.default_rng(3))
-    e2, _ = laplace_estimator(Population(bits=flipped, values=values), plan,
-                              np.random.default_rng(3))
+    plan = EstimatorPlan(n=10, winners=frozenset(range(8)))
+    e1 = laplace_estimator(Population(bits=bits, values=values), plan,
+                           np.random.default_rng(3))
+    e2 = laplace_estimator(Population(bits=flipped, values=values), plan,
+                           np.random.default_rng(3))
     assert e1 == e2
 
 
 def test_plan_rejects_full_winner_set():
     with pytest.raises(DomainError):
-        EstimatorPlan(n=5, winners=frozenset(range(5)), noise_scale=1.0, offset=0.0)
+        EstimatorPlan(n=5, winners=frozenset(range(5)))
 
 
-def test_estimator_checks_noise_scale():
-    pop = Population(bits=np.ones(4, int), values=np.arange(4.0))
-    plan = EstimatorPlan(n=4, winners=frozenset({0, 1}), noise_scale=3.0, offset=1.0)
-    with pytest.raises(DomainError):
-        laplace_estimator(pop, plan, np.random.default_rng(0))
+def test_empty_plan_is_half_n_plus_laplace_n():
+    pop = Population(bits=np.ones(6, int), values=np.arange(6.0))
+    plan = EstimatorPlan(n=6, winners=())
+    assert (plan.noise_scale, plan.offset) == (6.0, 3.0)
+    np.testing.assert_array_equal(plan.epsilons, np.zeros(6))
+    assert laplace_estimator(pop, plan, np.random.default_rng(5)) == (
+        3.0 + lap_sample(6.0, np.random.default_rng(5)))
 
 
 def test_density_ratio_on_grid():
