@@ -15,7 +15,7 @@ from .core import (ALL_FAMILIES, CorrelatedBits, CostFamily, DomainError,
 from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, group_privacy_factor,
                  lap_sample, lap_tail_prob, laplace_estimator,
                  privacy_ratio_bound, trial_estimates, trial_stream)
-from .mechanisms import (AccuracyInstance, BudgetInstance,
+from .mechanisms import (AccuracyInstance, Allocation, BudgetInstance,
                          fair_query, fixed_price_mechanism, min_cost_auction)
 from .verify import (MisreportGrid, VerificationReport,
                      check_envy_freeness, check_individual_rationality,

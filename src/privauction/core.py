@@ -43,9 +43,9 @@ ALL_FAMILIES = tuple(CostFamily)
 
 def _check_nonneg_finite(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {x!r}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(f"{name} must be >= 0, got {x!r}")
     return arr
 
@@ -130,7 +130,7 @@ class Population:
         return int(self.bits.sum())
 
     def with_values(self, values) -> "Population":
-        """Same bits, different reported valuations (used by misreport checks)."""
+        """Same bits, different reported valuations (one misreported profile)."""
         return Population(bits=self.bits, values=np.asarray(values, dtype=float))
 
 
@@ -284,10 +284,10 @@ class MechanismOutcome:
         epsilons = np.asarray(self.epsilons, dtype=float)
         if payments.shape != epsilons.shape or payments.ndim != 1:
             raise DomainError("payments and epsilons must be 1-d and equal length")
-        if not (np.all(np.isfinite(payments)) and math.isfinite(self.analyst_charge)):
+        if not (np.isfinite(payments).all() and math.isfinite(self.analyst_charge)):
             raise DomainError("payments and analyst charge must be finite "
                               "(a cost overflowed)")
-        if np.any(payments < 0) or np.any(epsilons < 0):
+        if (payments < 0).any() or (epsilons < 0).any():
             raise DomainError("payments and epsilons must be >= 0")
         total = payments.sum()
         # relative tolerance: exponential cost families can reach magnitudes
@@ -295,11 +295,11 @@ class MechanismOutcome:
         if self.analyst_charge < total - TOL * max(1.0, abs(total)):
             raise DomainError("analyst charge must cover the payments")
         loser_mask = np.ones(payments.size, dtype=bool)
-        winner_idx = np.fromiter(self.winners, dtype=int, count=len(self.winners))
+        winner_idx = np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))
         if winner_idx.size and (winner_idx.min() < 0 or winner_idx.max() >= payments.size):
             raise DomainError("winner indices out of range")
         loser_mask[winner_idx] = False
-        if np.any(epsilons[loser_mask] != 0.0):
+        if (epsilons[loser_mask] != 0.0).any():
             raise DomainError("non-winners must have eps = 0")
         if self.noise_scale is not None and self.noise_scale <= 0:
             raise DomainError("noise scale must be positive when present")
@@ -307,7 +307,7 @@ class MechanismOutcome:
         epsilons.setflags(write=False)
         object.__setattr__(self, "payments", payments)
         object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "winners", frozenset(int(i) for i in self.winners))
+        object.__setattr__(self, "winners", frozenset(winner_idx.tolist()))
 
     @property
     def total_payment(self) -> float:

@@ -106,11 +106,12 @@ class EstimatorPlan:
     winners: frozenset
 
     def __post_init__(self):
-        winners = frozenset(int(i) for i in self.winners)
+        idx = np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))
+        winners = frozenset(idx.tolist())
         object.__setattr__(self, "winners", winners)
         if len(winners) > self.n - 1:
             raise DomainError("estimator plan needs |winners| <= n-1")
-        if winners and (min(winners) < 0 or max(winners) >= self.n):
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise DomainError("winner indices out of range")
 
     @property
@@ -125,19 +126,24 @@ class EstimatorPlan:
     def epsilons(self) -> np.ndarray:
         """Privacy levels: 1/noise_scale for winners, 0 otherwise."""
         epsilons = np.zeros(self.n)
-        epsilons[np.fromiter(self.winners, dtype=int)] = 1.0 / self.noise_scale
+        epsilons[np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))] = (
+            1.0 / self.noise_scale)
         return epsilons
+
+
+def _noiseless_sum(pop: Population, plan: EstimatorPlan) -> float:
+    """The estimate's deterministic part: winners' bit sum + offset."""
+    if plan.n != pop.n:
+        raise DomainError("plan size does not match population")
+    idx = np.fromiter(plan.winners, dtype=np.intp, count=len(plan.winners))
+    return float(pop.bits[idx].sum()) + plan.offset
 
 
 def laplace_estimator(pop: Population, plan: EstimatorPlan,
                       rng: np.random.Generator) -> float:
     """Noisy sum over the plan's winner set: winners' bit sum + offset +
     Laplace(noise_scale)."""
-    if plan.n != pop.n:
-        raise DomainError("plan size does not match population")
-    idx = np.fromiter(plan.winners, dtype=int)
-    t = float(pop.bits[idx].sum()) + plan.offset
-    return t + lap_sample(plan.noise_scale, rng)
+    return _noiseless_sum(pop, plan) + lap_sample(plan.noise_scale, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -167,5 +173,6 @@ def trial_estimates(pop: Population, plan: EstimatorPlan, seed: int,
     that stream returns the same estimate; callers allocate once and draw
     only the noise per trial.
     """
-    return np.array([laplace_estimator(pop, plan, trial_stream(seed, t))
+    t0, scale = _noiseless_sum(pop, plan), plan.noise_scale
+    return np.array([t0 + lap_sample(scale, trial_stream(seed, t))
                      for t in range(trials)])

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostFamily, DomainError, MechanismOutcome, Population, cost_eval
+from .core import (TOL, CostFamily, DomainError, MechanismOutcome, Population,
+                   cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -57,25 +58,106 @@ class AccuracyInstance:
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
 
-def _sorted_order(values: np.ndarray) -> np.ndarray:
-    # ties broken by original index, for reproducibility
-    return np.argsort(values, kind="stable")
+@dataclass(frozen=True, eq=False)
+class Allocation:
+    """A mechanism's deterministic part on m reported profiles, the rows of
+    an (m, n) matrix of reports.
+
+    In row r the k[r] first agents of order[r] win, each at privacy level
+    1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
+    charge[r].  Fails closed like `MechanismOutcome`: payments and charges
+    must be finite and payments >= 0, and each charge must cover its row's
+    payments.
+    """
+
+    order: np.ndarray     # (m, n): each row's stable ascending order
+    k: np.ndarray         # (m,): winner counts, 0 <= k <= n-1
+    payments: np.ndarray  # (m, n): per original agent index
+    charge: np.ndarray    # (m,)
+
+    def __post_init__(self):
+        payments, charge = self.payments, self.charge
+        total = payments.sum(axis=1)
+        # payments >= 0 whose row sums are finite are finite themselves
+        if not ((payments >= 0).all() and np.isfinite(total).all()
+                and np.isfinite(charge).all()):
+            raise DomainError("payments and analyst charge must be finite, payments "
+                              ">= 0 (a cost overflowed)")
+        # the relative tolerance of MechanismOutcome's charge check
+        if (charge < total - TOL * np.maximum(1.0, total)).any():
+            raise DomainError("analyst charge must cover the payments")
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        """(m, n) privacy levels: 1/(n - k) for each row's winners, 0 otherwise."""
+        n = self.order.shape[1]
+        return np.where(_winner_mask(self.order, self.k),
+                        (1.0 / (n - self.k))[:, None], 0.0)
 
 
-def _outcome(pop: Population, order: np.ndarray, k: int, payments: np.ndarray,
-             analyst_charge: float, rng: np.random.Generator,
+def _reports(inst, values) -> np.ndarray:
+    """The (m, n) matrix of reported values, checked as `Population` checks them."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != inst.pop.n:
+        raise DomainError("reports must form an (m, n) matrix, n the population size")
+    if not np.isfinite(values).all() or (values < 0).any():
+        raise DomainError("values must be finite and >= 0")
+    return values
+
+
+def _winner_mask(order: np.ndarray, k) -> np.ndarray:
+    """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
+    ranks = np.argsort(order, axis=1)   # each row's inverse permutation
+    return ranks < np.reshape(k, (-1, 1))
+
+
+def _outcome(pop: Population, alloc: Allocation, rng: np.random.Generator,
              ir_feasible: bool = True) -> MechanismOutcome:
-    """The k first agents of `order` win; one noisy sum over their bits."""
-    plan = EstimatorPlan(pop.n, order[:k])
+    """The run of a one-row allocation: one noisy sum over its winners' bits."""
+    plan = EstimatorPlan(pop.n, alloc.order[0, :alloc.k[0]].tolist())
     return MechanismOutcome(
         estimate=laplace_estimator(pop, plan, rng),
-        payments=payments,
+        payments=alloc.payments[0],
         epsilons=plan.epsilons,
-        analyst_charge=analyst_charge,
+        analyst_charge=float(alloc.charge[0]),
         winners=plan.winners,
         noise_scale=plan.noise_scale,
         ir_feasible=ir_feasible,
     )
+
+
+def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
+    """`fair_query`'s allocation on each row of an (m, n) matrix of reports."""
+    model, budget = inst.model, inst.budget
+    values = _reports(inst, values)
+    m, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")   # ties by index
+    v_sorted = values[np.arange(m)[:, None], order]
+
+    k = np.zeros(m, dtype=np.intp)
+    price = np.zeros(m)
+    if n >= 2:
+        ks = np.arange(1, n)
+        cap = budget / ks
+        # for every k in [1, n-1], the costs at eps = 1/(n-k) of the k-th
+        # cheapest report and of the first one excluded
+        last_in, first_out = cost_eval(
+            model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
+        k = ((last_in <= cap) * ks).max(axis=1)   # the largest feasible k, 0 if none
+        price = np.where(k > 0, np.minimum(cap, first_out)[np.arange(m), k - 1], 0.0)
+
+    won = _winner_mask(order, k)
+    payments = np.where(won, price[:, None], 0.0)
+    total = payments.sum(axis=1)
+    # the budget constraint is exact; nudge a row's price down by ulps while
+    # rounding in budget/k or the summation pushes its total over
+    over = total > budget
+    while over.any():
+        price[over] = np.nextafter(price[over], 0.0)
+        payments = np.where(won, price[:, None], 0.0)
+        total = payments.sum(axis=1)
+        over = total > budget
+    return Allocation(order, k, payments, total)
 
 
 def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutcome:
@@ -83,32 +165,24 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
 
     Picks the largest k in [1, n-1] such that the k-th cheapest seller's cost
     at eps = 1/(n-k) is at most budget/k, buys from the k cheapest, and pays
-    each winner min(budget/k, cost of the first excluded seller).
+    each winner min(budget/k, cost of the first excluded seller).  The
+    allocation is `fair_query.rule`, run on the reports as a one-row matrix.
     """
-    pop, model, budget = inst.pop, inst.model, inst.budget
-    n = pop.n
-    order = _sorted_order(pop.values)
-    v_sorted = pop.values[order]
+    return _outcome(inst.pop, _fair_query_rule(inst, inst.pop.values[None, :]), rng)
 
-    k = 0
-    if n >= 2:
-        ks = np.arange(1, n)
-        eps_k = 1.0 / (n - ks)
-        feasible = cost_eval(model, v_sorted[ks - 1], eps_k) <= budget / ks
-        if np.any(feasible):
-            k = int(ks[feasible][-1])
 
-    payments = np.zeros(n)
-    if k > 0:
-        eps = 1.0 / (n - k)
-        price = min(budget / k, cost_eval(model, v_sorted[k], eps))
-        payments[order[:k]] = price
-        # the budget constraint is exact; nudge the price down by ulps if
-        # rounding in budget/k or the summation pushed the total over
-        while payments.sum() > budget:
-            price = np.nextafter(price, 0.0)
-            payments[order[:k]] = price
-    return _outcome(pop, order, k, payments, float(payments.sum()), rng)
+def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
+    """`min_cost_auction`'s allocation on each row of an (m, n) matrix of reports."""
+    values = _reports(inst, values)
+    m, n = values.shape
+    k = inst.winner_count
+    if k >= n:
+        raise DomainError("accuracy target unattainable: winner count would reach n")
+    w = cost_eval(inst.model, values, np.full(n, 1.0 / (n - k)))
+    order = np.argsort(w, axis=1, kind="stable")
+    price = w[np.arange(m), order[:, k]]   # the (k+1)-th lowest unit cost
+    payments = np.where(_winner_mask(order, k), price[:, None], 0.0)
+    return Allocation(order, np.full(m, k), payments, k * price)
 
 
 def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> MechanismOutcome:
@@ -116,21 +190,17 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
 
     With k = ceil((1 - alpha') * n) units to buy, each agent's unit cost is
     w_i = c(v_i, 1/(n-k)); the k cheapest win and are all paid the (k+1)-th
-    lowest unit cost.
+    lowest unit cost.  The allocation is `min_cost_auction.rule`, run on the
+    reports as a one-row matrix.
     """
-    pop, model = inst.pop, inst.model
-    n = pop.n
-    k = inst.winner_count
-    if k >= n:
-        raise DomainError("accuracy target unattainable: winner count would reach n")
-    eps = 1.0 / (n - k)
-    w = cost_eval(model, pop.values, np.full(n, eps))
-    order = _sorted_order(np.asarray(w))
-    w_sorted = np.asarray(w)[order]
+    return _outcome(inst.pop, _min_cost_rule(inst, inst.pop.values[None, :]), rng)
 
-    payments = np.zeros(n)
-    payments[order[:k]] = w_sorted[k]
-    return _outcome(pop, order, k, payments, float(k * w_sorted[k]), rng)
+
+# Each auction carries its allocation rule, so a misreport check handed the
+# mechanism (or a functools.wraps wrapper of it) evaluates whole matrices of
+# reports through the same code.
+fair_query.rule = _fair_query_rule
+min_cost_auction.rule = _min_cost_rule
 
 
 def fixed_price_mechanism(pop: Population, model: CostFamily, k: int, price: float,
@@ -147,13 +217,11 @@ def fixed_price_mechanism(pop: Population, model: CostFamily, k: int, price: flo
         raise DomainError("fixed-price mechanism needs 0 <= k <= n-1")
     if not math.isfinite(price) or price < 0:
         raise DomainError("price must be finite and >= 0")
-    order = _sorted_order(pop.values)
+    order = np.argsort(pop.values, kind="stable")[None, :]
+    payments = np.where(_winner_mask(order, k), price, 0.0)
 
-    payments = np.zeros(n)
     feasible = True
     if k > 0:
-        eps = 1.0 / (n - k)
-        payments[order[:k]] = price
-        feasible = price >= cost_eval(model, pop.values[order[k - 1]], eps)
-    return _outcome(pop, order, k, payments, float(payments.sum()), rng,
-                    ir_feasible=bool(feasible))
+        feasible = price >= cost_eval(model, pop.values[order[0, k - 1]], 1.0 / (n - k))
+    alloc = Allocation(order, np.array([k]), payments, payments.sum(axis=1))
+    return _outcome(pop, alloc, rng, ir_feasible=bool(feasible))

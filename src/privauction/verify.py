@@ -8,7 +8,6 @@ Checkers are pure value-in/report-out functions; reports serialize to JSON.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Union
@@ -19,10 +18,12 @@ from .core import (CostFamily, DomainError, MechanismOutcome, Population,
                    TOL, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
-from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
+from .mechanisms import (AccuracyInstance, Allocation, BudgetInstance, fair_query,
                          min_cost_auction)
 
 Instance = Union[BudgetInstance, AccuracyInstance]
+#: A mechanism run; `check_truthfulness` also reads its allocation rule, the
+#: attribute `rule`: (instance, (m, n) reports) -> Allocation.
 Mechanism = Callable[[Instance, np.random.Generator], MechanismOutcome]
 
 
@@ -130,26 +131,28 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
     """No agent can raise her utility by any grid misreport.
 
     Payments and privacy levels are deterministic, so the comparison is exact
-    and needs no expectation over noise.
+    and needs no expectation over noise.  The mechanism runs once on the
+    truthful reports.  Each agent's misreports then go through the
+    mechanism's own allocation rule, `mechanism.rule`, as one matrix with a
+    row per misreport, so every candidate meets the same allocation code as
+    a full run, and the same fail-closed checks.
     """
     grid = grid or MisreportGrid()
-    pop = instance.pop
+    pop, model = instance.pop, instance.model
     rng = np.random.default_rng(0)  # noise does not affect payments or eps
     truthful = mechanism(instance, rng)
-    true_util = truthful.payments - cost_eval(instance.model, pop.values,
-                                              truthful.epsilons)
+    true_util = truthful.payments - cost_eval(model, pop.values, truthful.epsilons)
     violations = []
     for i in range(pop.n):
-        for v_prime in grid.candidates_for(pop.values, i):
-            reported = pop.values.copy()
-            reported[i] = v_prime
-            deviated = dataclasses.replace(instance, pop=pop.with_values(reported))
-            out = mechanism(deviated, rng)
-            util = out.payments[i] - cost_eval(instance.model, pop.values[i],
-                                               out.epsilons[i])
-            if util > true_util[i] + TOL:
-                violations.append({"agent": int(i), "datum": float(v_prime),
-                                   "delta": float(util - true_util[i])})
+        candidates = grid.candidates_for(pop.values, i)
+        reports = np.tile(pop.values, (candidates.size, 1))
+        reports[:, i] = candidates
+        alloc = mechanism.rule(instance, reports)
+        util = alloc.payments[:, i] - cost_eval(model, pop.values[i],
+                                                alloc.epsilons[:, i])
+        for j in np.flatnonzero(util > true_util[i] + TOL):
+            violations.append({"agent": i, "datum": float(candidates[j]),
+                               "delta": float(util[j] - true_util[i])})
     return _report("truthfulness", violations)
 
 
@@ -303,22 +306,40 @@ def check_estimator_privacy(noise_scale: float, shift: float = 1.0,
 # Negative control
 # ---------------------------------------------------------------------------
 
+def _bids(inst: BudgetInstance, values, epsilons):
+    """Pay-your-bid payments and charge: every agent is paid her reported
+    cost at her privacy level (0 for losers, whose level is 0); the charge is
+    their sum.  Works on one profile or on an (m, n) matrix of them."""
+    payments = cost_eval(inst.model, values, epsilons)
+    return payments, payments.sum(axis=-1)
+
+
+def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:
+    """`pay_your_bid_control`'s allocation on each row of an (m, n) matrix of
+    reports: `fair_query`'s winners, repriced by `_bids`."""
+    alloc = fair_query.rule(inst, values)
+    payments, charge = _bids(inst, values, alloc.epsilons)
+    return Allocation(alloc.order, alloc.k, payments, charge)
+
+
 def pay_your_bid_control(inst: BudgetInstance,
                          rng: np.random.Generator) -> MechanismOutcome:
     """Deliberately broken variant of the budget auction that pays each winner
     her reported cost instead of the threshold price.  Not truthful: a winner
     can overreport within the winning range and be paid more.  Used only as a
-    negative control for the truthfulness checker."""
+    negative control for the truthfulness checker.
+
+    Runs `fair_query` and reprices its winners by `_bids`, as its rule does
+    on matrices of reports."""
     out = fair_query(inst, rng)
-    payments = np.array(out.payments)
-    idx = np.fromiter(out.winners, dtype=int, count=len(out.winners))
-    if idx.size:
-        payments[idx] = cost_eval(inst.model, inst.pop.values[idx],
-                                  out.epsilons[idx])
+    payments, charge = _bids(inst, inst.pop.values, out.epsilons)
     return MechanismOutcome(
         estimate=out.estimate, payments=payments, epsilons=out.epsilons,
-        analyst_charge=float(payments.sum()), winners=out.winners,
+        analyst_charge=float(charge), winners=out.winners,
         noise_scale=out.noise_scale)
+
+
+pay_your_bid_control.rule = _pay_your_bid_rule
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from privauction.core import (ALL_FAMILIES, CostFamily, MechanismOutcome,
-                              DomainError, Population, cost_eval)
+                              DomainError, Population, TOL, cost_eval)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
@@ -97,7 +99,6 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
         for v_prime in rng.uniform(0.0, hi, size=samples):
             reported = pop.values.copy()
             reported[i] = v_prime
-            import dataclasses
             out = mechanism(dataclasses.replace(inst, pop=pop.with_values(reported)),
                             RNG())
             util = out.payments[i] - cost_eval(inst.model, pop.values[i],
@@ -105,6 +106,54 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
             if util > true_util + 1e-9:
                 return True
     return False
+
+
+def reference_check_truthfulness(mechanism, inst, grid=None):
+    """Oracle: the per-misreport loop, one full mechanism run per grid
+    candidate, that `check_truthfulness` batches through the allocation rule."""
+    grid = grid or MisreportGrid()
+    pop = inst.pop
+    rng = RNG()
+    truthful = mechanism(inst, rng)
+    true_util = truthful.payments - cost_eval(inst.model, pop.values, truthful.epsilons)
+    violations = []
+    for i in range(pop.n):
+        for v_prime in grid.candidates_for(pop.values, i):
+            reported = pop.values.copy()
+            reported[i] = v_prime
+            out = mechanism(dataclasses.replace(inst, pop=pop.with_values(reported)), rng)
+            util = out.payments[i] - cost_eval(inst.model, pop.values[i], out.epsilons[i])
+            if util > true_util[i] + TOL:
+                violations.append({"agent": int(i), "datum": float(v_prime),
+                                   "delta": float(util - true_util[i])})
+    return {"property": "truthfulness", "pass": not violations,
+            "violations": violations, "tolerance": TOL}
+
+
+@pytest.mark.parametrize("kind, mechanism", [
+    ("budget", fair_query), ("accuracy", min_cost_auction),
+    ("budget", pay_your_bid_control)])
+def test_truthfulness_equals_per_misreport_reference(kind, mechanism):
+    for inst in random_instances(12, seed=21, n_hi=16, kind=kind):
+        assert (check_truthfulness(mechanism, inst).to_dict()
+                == reference_check_truthfulness(mechanism, inst))
+
+
+def test_truthfulness_reads_the_rule_through_a_wrapper():
+    wrapped = functools.wraps(fair_query)(lambda inst, rng: fair_query(inst, rng))
+    inst = random_instances(1, seed=22, kind="budget")[0]
+    assert (check_truthfulness(wrapped, inst).to_dict()
+            == check_truthfulness(fair_query, inst).to_dict())
+
+
+def test_truthfulness_fails_closed_on_a_misreport_overflow():
+    inst = AccuracyInstance(pop=Population(bits=[1, 0], values=[1.0, 400.0]),
+                            model=CostFamily.EXP_ARG, alpha=0.5 * ACCURACY_CONST)
+    # truthful reports are priced at expm1(400) ~ 5.2e173; reporting 800
+    # (the grid's 2x multiplier) overflows the unit cost
+    assert math.isfinite(min_cost_auction(inst, RNG()).total_payment)
+    with pytest.raises(DomainError):
+        check_truthfulness(min_cost_auction, inst)
 
 
 def test_pay_your_bid_control_is_manipulable():
