@@ -11,12 +11,12 @@ accuracy, and instance optimality against brute-force oracles).
 from .core import (ALL_FAMILIES, CorrelatedBits, CostFamily, DomainError,
                    IndependentBits, LogNormalValues, MechanismOutcome,
                    PointValues, Population, PopulationSpec, UniformValues,
-                   cost_eval, cost_inverse_in_v, generate_population)
-from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, group_privacy_factor,
-                 lap_sample, lap_tail_prob, laplace_estimator,
-                 privacy_ratio_bound, trial_estimates, trial_stream)
+                   cost_eval, generate_population)
+from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, lap_sample,
+                 laplace_estimator, privacy_ratio_bound, trial_estimates,
+                 trial_stream)
 from .mechanisms import (AccuracyInstance, Allocation, BudgetInstance,
-                         fair_query, fixed_price_mechanism, min_cost_auction)
+                         fair_query, min_cost_auction)
 from .verify import (MisreportGrid, VerificationReport,
                      check_envy_freeness, check_individual_rationality,
                      check_necessity, check_truthfulness, estimate_accuracy,

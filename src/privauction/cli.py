@@ -22,7 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .core import (CostFamily, DomainError, PopulationSpec, generate_population)
+from .core import (CorrelatedBits, CostFamily, DomainError, IndependentBits,
+                   PopulationSpec, generate_population)
 from .dp import ACCURACY_CONST, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
@@ -33,6 +34,19 @@ SWEEPABLE = ("budget", "alpha", "threshold", "q", "n", "seed")
 
 class ConfigError(ValueError):
     """The config file failed to parse or validate."""
+
+
+#: The JSON type a top-level config field must have when present.
+FIELD_TYPES = {"population": (dict, "an object"), "output": (dict, "an object"),
+               "sweep": (dict, "an object"), "budget": ((int, float), "a number"),
+               "alpha": ((int, float), "a number"), "trials": (int, "an integer"),
+               "seed": (int, "an integer"), "clamp_estimates": (bool, "true or false"),
+               "negative_control": (bool, "true or false")}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance, except that true and false are never numbers."""
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 @dataclass
@@ -66,8 +80,11 @@ class ExperimentConfig:
             values = self.sweep.get("values")
             if param not in SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
-            if not values:
-                raise ConfigError("sweep values must be a non-empty list")
+            if not (isinstance(values, list) and values
+                    and all(_has_type(v, (int, float)) for v in values)):
+                raise ConfigError("sweep values must be a non-empty list of numbers")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"output path must be a string, got {self.output_path!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -83,23 +100,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
+        for key, (kind, what) in FIELD_TYPES.items():
+            if key in raw and not _has_type(raw[key], kind):
+                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
         try:
             population = PopulationSpec.from_dict(raw["population"])
             family = CostFamily(raw["cost_family"])
-            output = raw.get("output") or {}
+            output = raw.get("output", {})
             return cls(
                 scenario=raw["scenario"],
                 population=population,
                 cost_family=family,
                 budget=raw.get("budget"),
                 alpha=raw.get("alpha"),
-                trials=int(raw.get("trials", 1)),
-                seed=int(raw.get("seed", 0)),
+                trials=raw.get("trials", 1),
+                seed=raw.get("seed", 0),
                 sweep=raw.get("sweep"),
                 output_path=output.get("path"),
                 output_format=output.get("format", "json"),
-                clamp_estimates=bool(raw.get("clamp_estimates", False)),
-                negative_control=bool(raw.get("negative_control", False)),
+                clamp_estimates=raw.get("clamp_estimates", False),
+                negative_control=raw.get("negative_control", False),
             )
         except KeyError as exc:
             raise ConfigError(f"config missing required field {exc}") from exc
@@ -197,11 +219,9 @@ def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
         pop = dataclasses.replace(config.population, n=int(value))
         return dataclasses.replace(config, population=pop, sweep=None)
     if param == "q":
-        from .core import IndependentBits
         pop = dataclasses.replace(config.population, bits=IndependentBits(q=float(value)))
         return dataclasses.replace(config, population=pop, sweep=None)
     if param == "threshold":
-        from .core import CorrelatedBits
         pop = dataclasses.replace(config.population,
                                   bits=CorrelatedBits(threshold=float(value)))
         return dataclasses.replace(config, population=pop, sweep=None)

@@ -1,14 +1,14 @@
 """Domain types: populations, cost-function families, mechanism outcomes.
 
 All types are immutable after construction and all operations are pure
-given explicit seeds, so everything here is safe to share across threads.
+given explicit seeds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -70,27 +70,6 @@ def cost_eval(family: CostFamily, v, eps):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def cost_inverse_in_v(family: CostFamily, target_cost: float, eps: float) -> float:
-    """The v with cost_eval(family, v, eps) == target_cost, for eps > 0.
-
-    Every family maps v in [0, inf) onto costs [0, inf) continuously and
-    monotonically at fixed eps > 0, so the inverse exists in closed form.
-    """
-    target = float(_check_nonneg_finite("target_cost", target_cost))
-    eps = float(_check_nonneg_finite("eps", eps))
-    if eps <= 0:
-        raise DomainError("eps must be > 0 for inversion")
-    if family is CostFamily.LINEAR:
-        return target / eps
-    if family is CostFamily.QUADRATIC:
-        return target / eps ** 2
-    if family is CostFamily.EXP_SCALED:
-        return target / math.expm1(eps)
-    if family is CostFamily.EXP_ARG:
-        return math.log1p(target) / eps
-    raise DomainError(f"unknown cost family {family!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +220,8 @@ class PopulationSpec:
             return cls(n=int(d["n"]), values=values, bits=bits, seed=int(d.get("seed", 0)))
         except KeyError as exc:
             raise DomainError(f"population spec missing field {exc}") from exc
+        except TypeError as exc:   # e.g. a list where an object belongs
+            raise DomainError(f"population spec has a field of the wrong type: {exc}") from exc
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -277,7 +258,6 @@ class MechanismOutcome:
     analyst_charge: float
     winners: frozenset
     noise_scale: Optional[float] = None
-    ir_feasible: bool = True
 
     def __post_init__(self):
         payments = np.asarray(self.payments, dtype=float)

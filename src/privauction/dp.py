@@ -63,30 +63,11 @@ def lap_cdf(scale: float, x):
     return np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
 
 
-def lap_tail_prob(scale: float, threshold: float) -> float:
-    """Two-sided tail mass Pr[|X| >= threshold] = exp(-threshold/scale)."""
-    scale = _check_scale(scale)
-    threshold = float(threshold)
-    if threshold < 0 or not math.isfinite(threshold):
-        raise DomainError("threshold must be a finite non-negative real")
-    return math.exp(-threshold / scale)
-
-
 def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
     """Worst-case output-density ratio between two noisy-sum runs whose
     deterministic parts differ by |shift|: exp(|shift| / noise_scale)."""
     noise_scale = _check_scale(noise_scale)
     return math.exp(abs(float(shift)) / noise_scale)
-
-
-def group_privacy_factor(epsilons, group) -> float:
-    """Bound exp(sum of eps over the group) on the output-probability ratio
-    for two databases differing exactly on the group's indices."""
-    epsilons = np.asarray(epsilons, dtype=float)
-    idx = np.fromiter((int(i) for i in group), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= epsilons.size):
-        raise DomainError("group indices out of range")
-    return float(math.exp(epsilons[idx].sum())) if idx.size else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The two privacy-procurement auctions and the fixed-price benchmark family.
+"""The two privacy-procurement auctions.
 
 Both auctions buy the same privacy level eps = 1/(n-k) from the k
 cheapest sellers, run the noisy-sum estimator over the winners' bits, and
@@ -111,8 +111,8 @@ def _winner_mask(order: np.ndarray, k) -> np.ndarray:
     return ranks < np.reshape(k, (-1, 1))
 
 
-def _outcome(pop: Population, alloc: Allocation, rng: np.random.Generator,
-             ir_feasible: bool = True) -> MechanismOutcome:
+def _outcome(pop: Population, alloc: Allocation,
+             rng: np.random.Generator) -> MechanismOutcome:
     """The run of a one-row allocation: one noisy sum over its winners' bits."""
     plan = EstimatorPlan(pop.n, alloc.order[0, :alloc.k[0]].tolist())
     return MechanismOutcome(
@@ -122,7 +122,6 @@ def _outcome(pop: Population, alloc: Allocation, rng: np.random.Generator,
         analyst_charge=float(alloc.charge[0]),
         winners=plan.winners,
         noise_scale=plan.noise_scale,
-        ir_feasible=ir_feasible,
     )
 
 
@@ -202,26 +201,3 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
 fair_query.rule = _fair_query_rule
 min_cost_auction.rule = _min_cost_rule
 
-
-def fixed_price_mechanism(pop: Population, model: CostFamily, k: int, price: float,
-                          rng: np.random.Generator) -> MechanismOutcome:
-    """Benchmark family: buy eps = 1/(n-k) from the k cheapest sellers at one
-    fixed price each.
-
-    The outcome is flagged infeasible when the price does not cover the k-th
-    cheapest seller's cost (an IR violation); the optimality oracles use the
-    flag.
-    """
-    n = pop.n
-    if not (0 <= k <= n - 1):
-        raise DomainError("fixed-price mechanism needs 0 <= k <= n-1")
-    if not math.isfinite(price) or price < 0:
-        raise DomainError("price must be finite and >= 0")
-    order = np.argsort(pop.values, kind="stable")[None, :]
-    payments = np.where(_winner_mask(order, k), price, 0.0)
-
-    feasible = True
-    if k > 0:
-        feasible = price >= cost_eval(model, pop.values[order[0, k - 1]], 1.0 / (n - k))
-    alloc = Allocation(order, np.array([k]), payments, payments.sum(axis=1))
-    return _outcome(pop, alloc, rng, ir_feasible=bool(feasible))

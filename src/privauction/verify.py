@@ -29,12 +29,16 @@ Mechanism = Callable[[Instance, np.random.Generator], MechanismOutcome]
 
 @dataclass
 class VerificationReport:
-    """Pass/fail verdict for one property, with counterexamples if any."""
+    """Verdict for one property: it passes exactly when it has no
+    counterexamples."""
 
     property_name: str
-    passed: bool
     violations: List[dict] = field(default_factory=list)
     tolerance: float = TOL
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -43,11 +47,6 @@ class VerificationReport:
             "violations": self.violations,
             "tolerance": self.tolerance,
         }
-
-
-def _report(name: str, violations: List[dict], tol: float = TOL) -> VerificationReport:
-    return VerificationReport(property_name=name, passed=not violations,
-                              violations=violations, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def check_individual_rationality(outcome: MechanismOutcome, pop: Population,
         {"agent": int(i), "datum": float(pop.values[i]), "delta": float(slack[i])}
         for i in np.nonzero(slack < -TOL)[0]
     ]
-    return _report("individual_rationality", violations)
+    return VerificationReport("individual_rationality", violations)
 
 
 def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
@@ -112,7 +111,7 @@ def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
     for i, j in zip(*np.nonzero(envy > TOL)):
         violations.append({"agent": int(i), "datum": {"envies": int(j)},
                            "delta": float(envy[i, j])})
-    return _report("envy_freeness", violations)
+    return VerificationReport("envy_freeness", violations)
 
 
 def check_budget_feasibility(outcome: MechanismOutcome,
@@ -123,7 +122,7 @@ def check_budget_feasibility(outcome: MechanismOutcome,
     if over > 0:
         violations.append({"agent": None, "datum": outcome.total_payment,
                            "delta": float(over)})
-    return _report("budget_feasibility", violations, tol=0.0)
+    return VerificationReport("budget_feasibility", violations, tolerance=0.0)
 
 
 def check_truthfulness(mechanism: Mechanism, instance: Instance,
@@ -153,7 +152,7 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
         for j in np.flatnonzero(util > true_util[i] + TOL):
             violations.append({"agent": i, "datum": float(candidates[j]),
                                "delta": float(util[j] - true_util[i])})
-    return _report("truthfulness", violations)
+    return VerificationReport("truthfulness", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def check_estimator_privacy(noise_scale: float, shift: float = 1.0,
     violations = []
     if worst > bound + TOL:
         violations.append({"agent": None, "datum": worst, "delta": worst - bound})
-    return _report("estimator_privacy_ratio", violations)
+    return VerificationReport("estimator_privacy_ratio", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -346,107 +345,67 @@ pay_your_bid_control.rule = _pay_your_bid_rule
 # Suites over instance corpora
 # ---------------------------------------------------------------------------
 
-def random_instances(count: int, seed: int, n_lo: int = 2, n_hi: int = 16,
-                     kind: str = "budget") -> List[Instance]:
-    """Seeded corpus of random instances cycling through all cost families."""
-    rng = np.random.default_rng(seed)
-    families = list(CostFamily)
-    instances: List[Instance] = []
-    while len(instances) < count:
-        n = int(rng.integers(n_lo, n_hi + 1))
-        values = rng.uniform(0.0, 10.0, size=n)
-        bits = rng.integers(0, 2, size=n)
-        pop = Population(bits=bits, values=values)
-        model = families[len(instances) % len(families)]
-        if kind == "budget":
-            budget = float(rng.uniform(0.0, 5.0 * n))
-            instances.append(BudgetInstance(pop=pop, model=model, budget=budget))
-        else:
-            # alpha' uniform in [1/n, 0.6] keeps the target attainable
-            lo = 1.0 / n
-            alpha = float(rng.uniform(lo, 0.6)) * ACCURACY_CONST
-            instances.append(AccuracyInstance(pop=pop, model=model, alpha=alpha))
-    return instances
+def _instance_check(name: str, failed: bool, datum, delta) -> VerificationReport:
+    """A per-instance property: one violation if the check failed, else none."""
+    return VerificationReport(
+        name, [{"agent": None, "datum": datum, "delta": delta}] if failed else [])
+
+
+def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
+    """The report of every property that applies to one mechanism outcome,
+    in report order."""
+    pop, model, n, k = inst.pop, inst.model, inst.pop.n, out.winner_count
+    yield check_truthfulness(mech, inst)
+    yield check_individual_rationality(out, pop, model)
+    yield check_envy_freeness(out, pop, model)
+
+    if isinstance(inst, BudgetInstance):
+        yield check_budget_feasibility(out, inst.budget)
+        oracle_k = oracle_max_winners_envy_free(pop, model, inst.budget)
+        yield _instance_check("winner_count_optimality", oracle_k != k,
+                              {"mechanism_k": k, "oracle_k": oracle_k},
+                              float(oracle_k - k))
+    else:
+        oracle_total = oracle_min_payment_k_units(pop, model, k)
+        gap = out.total_payment - oracle_total
+        yield _instance_check("payment_optimality", abs(gap) > TOL,
+                              {"mechanism_total": out.total_payment,
+                               "oracle_total": oracle_total}, float(gap))
+
+    if 0 < k < n:
+        alpha = matched_alpha(out, n)
+        yield _instance_check("necessity", not check_necessity(out.epsilons, alpha),
+                              {"alpha": alpha}, None)
+        acc_alpha = accuracy_level(out, n) / n
+        if acc_alpha < 1.0:
+            bound = payment_lower_bound(pop, model, acc_alpha)
+            yield _instance_check("payment_lower_bound", out.total_payment < bound - TOL,
+                                  {"bound": bound}, float(out.total_payment - bound))
 
 
 def run_suite(instances: Iterable[Instance],
-              grid: Optional[MisreportGrid] = None,
               negative_control: bool = False) -> List[VerificationReport]:
     """Run every applicable property check over a corpus and aggregate
     violations per property.  Covers truthfulness, IR, envy-freeness, budget
     feasibility, the optimality oracles, the necessity condition, and the
     payment lower bound; plus the analytic DP grid check per noise scale."""
-    grid = grid or MisreportGrid()
     agg: dict = {}
     noise_scales = set()
 
-    def extend(name, report, idx, tol=TOL):
-        rep = agg.setdefault(name, _report(name, [], tol))
-        for v in report.violations:
-            rep.violations.append({"instance": idx, **v})
-        rep.passed = rep.passed and report.passed
+    def extend(report: VerificationReport, idx):
+        name = report.property_name
+        rep = agg.setdefault(name, VerificationReport(name, [], report.tolerance))
+        rep.violations.extend({"instance": idx, **v} for v in report.violations)
 
     for idx, inst in enumerate(instances):
-        rng = np.random.default_rng(idx)
         if isinstance(inst, BudgetInstance):
             mech: Mechanism = pay_your_bid_control if negative_control else fair_query
         else:
             mech = min_cost_auction
-        out = mech(inst, rng)
+        out = mech(inst, np.random.default_rng(idx))
         noise_scales.add(out.noise_scale)
-
-        extend("truthfulness", check_truthfulness(mech, inst, grid), idx)
-        extend("individual_rationality",
-               check_individual_rationality(out, inst.pop, inst.model), idx)
-        extend("envy_freeness", check_envy_freeness(out, inst.pop, inst.model), idx)
-
-        if isinstance(inst, BudgetInstance):
-            extend("budget_feasibility",
-                   check_budget_feasibility(out, inst.budget), idx, tol=0.0)
-            oracle_k = oracle_max_winners_envy_free(inst.pop, inst.model, inst.budget)
-            if oracle_k != out.winner_count:
-                extend("winner_count_optimality", _report(
-                    "winner_count_optimality",
-                    [{"agent": None, "datum": {"mechanism_k": out.winner_count,
-                                               "oracle_k": oracle_k},
-                      "delta": float(oracle_k - out.winner_count)}]), idx)
-            else:
-                extend("winner_count_optimality",
-                       _report("winner_count_optimality", []), idx)
-        else:
-            k = out.winner_count
-            oracle_total = oracle_min_payment_k_units(inst.pop, inst.model, k)
-            gap = out.total_payment - oracle_total
-            if abs(gap) > TOL:
-                extend("payment_optimality", _report(
-                    "payment_optimality",
-                    [{"agent": None, "datum": {"mechanism_total": out.total_payment,
-                                               "oracle_total": oracle_total},
-                      "delta": float(gap)}]), idx)
-            else:
-                extend("payment_optimality", _report("payment_optimality", []), idx)
-
-        if 0 < out.winner_count < inst.pop.n:
-            alpha = matched_alpha(out, inst.pop.n)
-            if not check_necessity(out.epsilons, alpha):
-                extend("necessity", _report("necessity", [
-                    {"agent": None, "datum": {"alpha": alpha}, "delta": None}]), idx)
-            else:
-                extend("necessity", _report("necessity", []), idx)
-
-            acc_alpha = accuracy_level(out, inst.pop.n) / inst.pop.n
-            if acc_alpha < 1.0:
-                bound = payment_lower_bound(inst.pop, inst.model, acc_alpha)
-                if out.total_payment < bound - TOL:
-                    extend("payment_lower_bound", _report("payment_lower_bound", [
-                        {"agent": None, "datum": {"bound": bound},
-                         "delta": float(out.total_payment - bound)}]), idx)
-                else:
-                    extend("payment_lower_bound",
-                           _report("payment_lower_bound", []), idx)
-
+        for report in _outcome_checks(mech, inst, out):
+            extend(report, idx)
     for scale in sorted(s for s in noise_scales if s is not None):
-        rep = check_estimator_privacy(scale)
-        extend("estimator_privacy_ratio", rep, None)
-
+        extend(check_estimator_privacy(scale), None)
     return list(agg.values())

@@ -1,29 +1,34 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import privauction
 from privauction.cli import ConfigError, ExperimentConfig, main
 from privauction.dp import ACCURACY_CONST
 
 
+BASE_CONFIG = {
+    "scenario": "budget",
+    "population": {
+        "n": 4,
+        "values": {"dist": "point", "points": [1.0, 2.0, 4.0, 8.0]},
+        "bits": {"model": "independent", "q": 0.5},
+        "seed": 7,
+    },
+    "cost_family": "linear",
+    "budget": 2.0,
+    "trials": 50,
+    "seed": 42,
+}
+
+
 def write_config(tmp_path, name, **overrides):
-    base = {
-        "scenario": "budget",
-        "population": {
-            "n": 4,
-            "values": {"dist": "point", "points": [1.0, 2.0, 4.0, 8.0]},
-            "bits": {"model": "independent", "q": 0.5},
-            "seed": 7,
-        },
-        "cost_family": "linear",
-        "budget": 2.0,
-        "trials": 50,
-        "seed": 42,
-    }
-    base.update(overrides)
+    base = {**BASE_CONFIG, **overrides}
     base = {k: v for k, v in base.items() if v is not None}
     path = tmp_path / name
     path.write_text(json.dumps(base))
@@ -145,6 +150,35 @@ def test_empty_sweep_rejected(tmp_path):
     assert main(["sweep", str(cfg)]) == 2
 
 
+def _mistyped(**fields):
+    return {**BASE_CONFIG, **fields}
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("run", _mistyped(sweep=[1, 2])),
+    ("run", _mistyped(trials=None)),
+    ("run", _mistyped(budget="x")),
+    ("run", _mistyped(population=[])),
+    ("run", _mistyped(population={**BASE_CONFIG["population"], "values": "uniform"})),
+    ("run", _mistyped(population={**BASE_CONFIG["population"], "n": None})),
+    ("run", _mistyped(output="r.json")),
+    ("sweep", _mistyped(sweep={"parameter": "budget", "values": 3})),
+    ("sweep", _mistyped(sweep={"parameter": "budget", "values": ["x"]})),
+    ("run", [BASE_CONFIG]),
+    # a string is not a boolean: "false" must not switch the option on
+    ("verify", _mistyped(negative_control="false")),
+    ("run", _mistyped(clamp_estimates="false")),
+], ids=["sweep-list", "trials-null", "budget-string", "population-list",
+        "values-string", "n-null", "output-string", "sweep-values-number",
+        "sweep-values-strings", "top-level-list", "negative-control-string",
+        "clamp-string"])
+def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def _overflow_config(tmp_path, **overrides):
     # lognormal(6, 3) values reach ~1e5, where exp_arg's expm1(eps * v) is inf
     return write_config(
@@ -263,7 +297,9 @@ def test_verify_negative_control_exits_one(tmp_path):
 def test_console_script(tmp_path):
     out = tmp_path / "report.json"
     cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)})
+    # the child imports the same package as this test, however pytest found it
+    env = {**os.environ, "PYTHONPATH": str(Path(privauction.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-m", "privauction.cli", "run", str(cfg)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert read_report(out)["records"][0]["k"] == 2

@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from privauction.core import (ALL_FAMILIES, CorrelatedBits, CostFamily,
                               DomainError, IndependentBits, MechanismOutcome,
                               PointValues, Population, PopulationSpec,
-                              UniformValues, cost_eval, cost_inverse_in_v,
-                              generate_population)
-
-finite_vals = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+                              UniformValues, cost_eval, generate_population)
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -69,49 +64,6 @@ def test_ordering_independent_of_eps(family):
     for v, vp in pairs[:50]:  # full grid on a subsample keeps runtime sane
         cs = cost_eval(family, v, epss) - cost_eval(family, vp, epss)
         assert np.all(np.sign(cs) == np.sign(v - vp))
-
-
-# --- cost_inverse_in_v -----------------------------------------------------
-
-def _bisect_inverse(family, target, eps, hi=1e9):
-    lo = 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if cost_eval(family, mid, eps) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def test_inverse_linear_example():
-    assert cost_inverse_in_v(CostFamily.LINEAR, 1.0, 0.5) == pytest.approx(2.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_inverse_zero_target(family):
-    assert cost_inverse_in_v(family, 0.0, 1.0) == 0.0
-
-
-def test_inverse_quadratic_example():
-    # oracle: bisection on the forward map
-    expected = _bisect_inverse(CostFamily.QUADRATIC, 2.0, 0.5)
-    assert expected == pytest.approx(8.0, abs=1e-6)
-    assert cost_inverse_in_v(CostFamily.QUADRATIC, 2.0, 0.5) == pytest.approx(8.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("family", ALL_FAMILIES)
-@given(target=st.floats(min_value=0.0, max_value=1e4),
-       eps=st.floats(min_value=1e-3, max_value=3.0))
-@settings(max_examples=50, deadline=None)
-def test_inverse_round_trip(family, target, eps):
-    v = cost_inverse_in_v(family, target, eps)
-    assert cost_eval(family, v, eps) == pytest.approx(target, abs=1e-9, rel=1e-12)
-
-
-def test_inverse_requires_positive_eps():
-    with pytest.raises(DomainError):
-        cost_inverse_in_v(CostFamily.LINEAR, 1.0, 0.0)
 
 
 # --- Population ------------------------------------------------------------

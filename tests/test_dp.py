@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from privauction.core import DomainError, Population
-from privauction.dp import (LN3, EstimatorPlan, group_privacy_factor,
-                            lap_cdf, lap_density, lap_sample, lap_tail_prob,
-                            laplace_estimator, privacy_ratio_bound,
+from privauction.dp import (LN3, EstimatorPlan, lap_cdf, lap_density,
+                            lap_sample, laplace_estimator, privacy_ratio_bound,
                             trial_stream)
 
 
@@ -54,56 +53,12 @@ def test_sample_scale_validation():
         lap_sample(0.0, np.random.default_rng(0))
 
 
-# --- tail probability ------------------------------------------------------
-
-def test_tail_prob_whole_support():
-    assert lap_tail_prob(3.0, 0.0) == 1.0
-
-
-def test_tail_prob_ln3():
-    assert lap_tail_prob(1.5, LN3 * 1.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_tail_prob_closed_form():
-    assert lap_tail_prob(2.0, 4.0) == pytest.approx(0.1353352832366127, abs=1e-12)
-
-
-def test_tail_prob_matches_quadrature():
-    # oracle: numerically integrate the density over |x| >= threshold
-    sigma = 1.7
-    for x in np.linspace(0.0, 8.0, 100):
-        upper, _ = integrate.quad(lambda y: lap_density(sigma, y), x, np.inf)
-        assert lap_tail_prob(sigma, x) == pytest.approx(2.0 * upper, abs=1e-9)
-
-
 # --- analytic privacy quantities -------------------------------------------
 
 def test_ratio_bound_examples():
     assert privacy_ratio_bound(3.0, 0.0) == 1.0
     assert privacy_ratio_bound(4.0, 1.0) == pytest.approx(math.exp(0.25), abs=1e-12)
     assert privacy_ratio_bound(5.0, 2.0) == pytest.approx(1.4918246976412703, abs=1e-9)
-
-
-def test_group_privacy_examples():
-    assert group_privacy_factor([0.1, 0.2], []) == 1.0
-    assert group_privacy_factor([0.1, 0.2], [0, 1]) == pytest.approx(
-        1.3498588075760032, abs=1e-9)
-
-
-def test_group_privacy_half_root_e():
-    # all eps = 1/(alpha n) over a group of size alpha n / 2 gives exp(1/2)
-    n, alpha = 20, 0.5
-    eps = np.full(n, 1.0 / (alpha * n))
-    group = list(range(int(alpha * n / 2)))
-    assert group_privacy_factor(eps, group) == pytest.approx(math.sqrt(math.e), abs=1e-12)
-
-
-def test_group_privacy_multiplicative():
-    eps = np.array([0.1, 0.2, 0.3, 0.4])
-    whole = group_privacy_factor(eps, [0, 1, 2, 3])
-    assert whole == pytest.approx(
-        group_privacy_factor(eps, [0, 2]) * group_privacy_factor(eps, [1, 3]),
-        rel=1e-12)
 
 
 # --- estimator -------------------------------------------------------------

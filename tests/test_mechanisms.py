@@ -7,8 +7,7 @@ from privauction.core import (ALL_FAMILIES, CostFamily, DomainError,
                               Population, cost_eval)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
-                                    fair_query, fixed_price_mechanism,
-                                    min_cost_auction)
+                                    fair_query, min_cost_auction)
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -176,30 +175,3 @@ def test_min_cost_payment_equals_k_times_threshold():
         w = np.sort(cost_eval(inst.model, pop.values, 1.0 / (n - k)), kind="stable")
         assert out.total_payment == pytest.approx(k * w[k], abs=1e-9)
 
-
-# --- fixed price benchmark -------------------------------------------------
-
-def test_fixed_price_empty():
-    pop = Population(bits=[1, 0], values=[1.0, 2.0])
-    out = fixed_price_mechanism(pop, CostFamily.LINEAR, 0, 1.0, RNG())
-    assert out.total_payment == 0.0
-    assert out.winner_count == 0
-
-
-def test_fixed_price_feasible_example():
-    pop = Population(bits=[1, 0, 1, 1], values=[1.0, 2.0, 4.0, 8.0])
-    out = fixed_price_mechanism(pop, CostFamily.LINEAR, 2, 1.0, RNG())
-    assert out.ir_feasible
-    assert out.total_payment == pytest.approx(2.0)
-
-
-def test_fixed_price_infeasible_example():
-    pop = Population(bits=[1, 0, 1, 1], values=[1.0, 2.0, 4.0, 8.0])
-    out = fixed_price_mechanism(pop, CostFamily.LINEAR, 2, 0.9, RNG())
-    assert not out.ir_feasible
-
-
-def test_fixed_price_rejects_k_equals_n():
-    pop = Population(bits=[1, 0], values=[1.0, 2.0])
-    with pytest.raises(DomainError):
-        fixed_price_mechanism(pop, CostFamily.LINEAR, 2, 1.0, RNG())

@@ -11,11 +11,12 @@ import json
 import numpy as np
 import pytest
 
+from corpus import random_instances
 from privauction.cli import main
 from privauction.core import CostFamily, PopulationSpec, generate_population
 from privauction.mechanisms import BudgetInstance, fair_query
 from privauction.verify import (accuracy_level, payment_lower_bound,
-                                random_instances, run_suite)
+                                run_suite)
 
 UNIFORM_20 = {"n": 20, "values": {"dist": "uniform", "lo": 0, "hi": 10},
               "bits": {"model": "independent", "q": 0.5}, "seed": 3}

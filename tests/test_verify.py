@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from corpus import random_instances
 from privauction.core import (ALL_FAMILIES, CostFamily, MechanismOutcome,
                               DomainError, Population, TOL, cost_eval)
 from privauction.dp import ACCURACY_CONST
@@ -19,7 +20,7 @@ from privauction.verify import (MisreportGrid, check_envy_freeness,
                                 oracle_max_winners_envy_free,
                                 oracle_min_payment_k_units,
                                 pay_your_bid_control, payment_lower_bound,
-                                random_instances, run_suite)
+                                run_suite)
 
 RNG = lambda s=0: np.random.default_rng(s)
 
