@@ -8,15 +8,15 @@ a verification harness that mechanically checks their properties
 accuracy, and instance optimality against brute-force oracles).
 """
 
-from .core import (ALL_FAMILIES, CorrelatedBits, CostFamily, DomainError,
-                   IndependentBits, LogNormalValues, MechanismOutcome,
-                   PointValues, Population, PopulationSpec, UniformValues,
-                   cost_eval, generate_population)
+from .core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
+                   DomainError, IndependentBits, LogNormalValues,
+                   MechanismOutcome, PointValues, Population, PopulationSpec,
+                   UniformValues, cost_eval, generate_population)
 from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, lap_sample,
                  laplace_estimator, privacy_ratio_bound, trial_estimates,
                  trial_stream)
-from .mechanisms import (AccuracyInstance, Allocation, BudgetInstance,
-                         fair_query, min_cost_auction)
+from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
+                         min_cost_auction)
 from .verify import (MisreportGrid, VerificationReport,
                      check_envy_freeness, check_individual_rationality,
                      check_necessity, check_truthfulness, estimate_accuracy,

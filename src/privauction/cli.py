@@ -300,8 +300,8 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
     records = []
     for value in config.sweep["values"]:
-        sub = _sweep_config(config, value)
         try:
+            sub = _sweep_config(config, value)
             rec = _run_record(sub, _instance(sub))
             rec["swept_value"] = value
             rec["error"] = ""

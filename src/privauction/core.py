@@ -1,4 +1,5 @@
-"""Domain types: populations, cost-function families, mechanism outcomes.
+"""Domain types: populations, cost-function families, allocations and
+mechanism outcomes.
 
 All types are immutable after construction and all operations are pure
 given explicit seeds.
@@ -9,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -241,58 +242,99 @@ def generate_population(spec: PopulationSpec) -> Population:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism outcomes
+# Allocations and mechanism outcomes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class MechanismOutcome:
-    """What a mechanism run produced: estimate, payments, privacy levels.
+class Allocation:
+    """A mechanism's deterministic part on m reported profiles, the rows of
+    an (m, n) matrix of reports.
 
-    Payments and privacy levels are per original agent index.  The analyst
-    charge covers the payments (here always exactly their sum).
+    In row r the k[r] first agents of order[r] win, each at privacy level
+    1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
+    charge[r].  Fails closed: every k must lie in [0, n-1], payments and
+    charges must be finite and payments >= 0, and each charge must cover its
+    row's payments.  The arrays are made read-only.
+    """
+
+    order: np.ndarray     # (m, n): each row's stable ascending order
+    k: np.ndarray         # (m,): winner counts, 0 <= k <= n-1
+    payments: np.ndarray  # (m, n): per original agent index
+    charge: np.ndarray    # (m,)
+
+    def __post_init__(self):
+        order, k, payments, charge = self.order, self.k, self.payments, self.charge
+        if ((k < 0) | (k >= order.shape[1])).any():
+            raise DomainError("winner counts must lie in [0, n-1]")
+        total = payments.sum(axis=1)
+        # payments >= 0 whose row sums are finite are finite themselves
+        if not ((payments >= 0).all() and np.isfinite(total).all()
+                and np.isfinite(charge).all()):
+            raise DomainError("payments and analyst charge must be finite, payments "
+                              ">= 0 (a cost overflowed)")
+        # relative tolerance: exponential cost families can reach magnitudes
+        # where a 1e-9 absolute slack is below one ulp of the sum
+        if (charge < total - TOL * np.maximum(1.0, total)).any():
+            raise DomainError("analyst charge must cover the payments")
+        for arr in (order, k, payments, charge):
+            arr.setflags(write=False)
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        """(m, n) privacy levels: 1/(n - k) for each row's winners, 0 otherwise."""
+        n = self.order.shape[1]
+        return np.where(_winner_mask(self.order, self.k),
+                        (1.0 / (n - self.k))[:, None], 0.0)
+
+
+def _winner_mask(order: np.ndarray, k) -> np.ndarray:
+    """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
+    ranks = np.argsort(order, axis=1)   # each row's inverse permutation
+    return ranks < np.reshape(k, (-1, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class MechanismOutcome:
+    """What a mechanism run produced: the random estimate and the
+    deterministic one-row `Allocation` it was drawn for.
+
+    Payments, privacy levels and winners are read from the allocation's
+    only row, per original agent index; the allocation has validated them.
     """
 
     estimate: float
-    payments: np.ndarray
-    epsilons: np.ndarray
-    analyst_charge: float
-    winners: frozenset
-    noise_scale: Optional[float] = None
+    allocation: Allocation
 
     def __post_init__(self):
-        payments = np.asarray(self.payments, dtype=float)
-        epsilons = np.asarray(self.epsilons, dtype=float)
-        if payments.shape != epsilons.shape or payments.ndim != 1:
-            raise DomainError("payments and epsilons must be 1-d and equal length")
-        if not (np.isfinite(payments).all() and math.isfinite(self.analyst_charge)):
-            raise DomainError("payments and analyst charge must be finite "
-                              "(a cost overflowed)")
-        if (payments < 0).any() or (epsilons < 0).any():
-            raise DomainError("payments and epsilons must be >= 0")
-        total = payments.sum()
-        # relative tolerance: exponential cost families can reach magnitudes
-        # where a 1e-9 absolute slack is below one ulp of the sum
-        if self.analyst_charge < total - TOL * max(1.0, abs(total)):
-            raise DomainError("analyst charge must cover the payments")
-        loser_mask = np.ones(payments.size, dtype=bool)
-        winner_idx = np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))
-        if winner_idx.size and (winner_idx.min() < 0 or winner_idx.max() >= payments.size):
-            raise DomainError("winner indices out of range")
-        loser_mask[winner_idx] = False
-        if (epsilons[loser_mask] != 0.0).any():
-            raise DomainError("non-winners must have eps = 0")
-        if self.noise_scale is not None and self.noise_scale <= 0:
-            raise DomainError("noise scale must be positive when present")
-        payments.setflags(write=False)
-        epsilons.setflags(write=False)
-        object.__setattr__(self, "payments", payments)
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "winners", frozenset(winner_idx.tolist()))
+        if self.allocation.order.shape[0] != 1:
+            raise DomainError("a mechanism outcome needs a one-row allocation")
+
+    @property
+    def payments(self) -> np.ndarray:
+        return self.allocation.payments[0]
+
+    @property
+    def analyst_charge(self) -> float:
+        return float(self.allocation.charge[0])
+
+    @property
+    def winner_count(self) -> int:
+        return int(self.allocation.k[0])
+
+    @property
+    def noise_scale(self) -> float:
+        """n - k, the Laplace scale of the estimate."""
+        return float(self.allocation.order.shape[1] - self.winner_count)
+
+    @property
+    def winners(self) -> frozenset:
+        return frozenset(self.allocation.order[0, :self.winner_count].tolist())
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        """Privacy levels: 1/(n - k) for the winners, 0 otherwise."""
+        return self.allocation.epsilons[0]
 
     @property
     def total_payment(self) -> float:
         return float(self.payments.sum())
-
-    @property
-    def winner_count(self) -> int:
-        return len(self.winners)

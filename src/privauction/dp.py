@@ -74,30 +74,37 @@ def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
 # The noisy-sum estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorPlan:
     """Which agents' bits the noisy sum uses, and how it is noised.
 
     The estimate is sum of winners' bits + offset + Laplace(noise_scale),
     with noise_scale = n - |winners| and offset = noise_scale / 2.  With no
-    winners it is n/2 + Laplace(n).
+    winners it is n/2 + Laplace(n).  `winners` may be given as any iterable
+    of agent indices and is stored as a read-only index array.
     """
 
     n: int
-    winners: frozenset
+    winners: np.ndarray
 
     def __post_init__(self):
-        idx = np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))
-        winners = frozenset(idx.tolist())
-        object.__setattr__(self, "winners", winners)
-        if len(winners) > self.n - 1:
+        winners = self.winners
+        idx = np.array(winners if isinstance(winners, np.ndarray) else list(winners),
+                       dtype=np.intp)
+        if idx.size > self.n - 1:
             raise DomainError("estimator plan needs |winners| <= n-1")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise DomainError("winner indices out of range")
+        seen = np.zeros(self.n, dtype=bool)
+        seen[idx] = True
+        if np.count_nonzero(seen) != idx.size:
+            raise DomainError("winner indices must be distinct")
+        idx.setflags(write=False)
+        object.__setattr__(self, "winners", idx)
 
     @property
     def noise_scale(self) -> float:
-        return float(self.n - len(self.winners))
+        return float(self.n - self.winners.size)
 
     @property
     def offset(self) -> float:
@@ -107,8 +114,7 @@ class EstimatorPlan:
     def epsilons(self) -> np.ndarray:
         """Privacy levels: 1/noise_scale for winners, 0 otherwise."""
         epsilons = np.zeros(self.n)
-        epsilons[np.fromiter(self.winners, dtype=np.intp, count=len(self.winners))] = (
-            1.0 / self.noise_scale)
+        epsilons[self.winners] = 1.0 / self.noise_scale
         return epsilons
 
 
@@ -116,8 +122,7 @@ def _noiseless_sum(pop: Population, plan: EstimatorPlan) -> float:
     """The estimate's deterministic part: winners' bit sum + offset."""
     if plan.n != pop.n:
         raise DomainError("plan size does not match population")
-    idx = np.fromiter(plan.winners, dtype=np.intp, count=len(plan.winners))
-    return float(pop.bits[idx].sum()) + plan.offset
+    return float(pop.bits[plan.winners].sum()) + plan.offset
 
 
 def laplace_estimator(pop: Population, plan: EstimatorPlan,

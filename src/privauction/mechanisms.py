@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TOL, CostFamily, DomainError, MechanismOutcome, Population,
-                   cost_eval)
+from .core import (Allocation, CostFamily, DomainError, MechanismOutcome,
+                   Population, _winner_mask, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -58,43 +58,6 @@ class AccuracyInstance:
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
 
-@dataclass(frozen=True, eq=False)
-class Allocation:
-    """A mechanism's deterministic part on m reported profiles, the rows of
-    an (m, n) matrix of reports.
-
-    In row r the k[r] first agents of order[r] win, each at privacy level
-    1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
-    charge[r].  Fails closed like `MechanismOutcome`: payments and charges
-    must be finite and payments >= 0, and each charge must cover its row's
-    payments.
-    """
-
-    order: np.ndarray     # (m, n): each row's stable ascending order
-    k: np.ndarray         # (m,): winner counts, 0 <= k <= n-1
-    payments: np.ndarray  # (m, n): per original agent index
-    charge: np.ndarray    # (m,)
-
-    def __post_init__(self):
-        payments, charge = self.payments, self.charge
-        total = payments.sum(axis=1)
-        # payments >= 0 whose row sums are finite are finite themselves
-        if not ((payments >= 0).all() and np.isfinite(total).all()
-                and np.isfinite(charge).all()):
-            raise DomainError("payments and analyst charge must be finite, payments "
-                              ">= 0 (a cost overflowed)")
-        # the relative tolerance of MechanismOutcome's charge check
-        if (charge < total - TOL * np.maximum(1.0, total)).any():
-            raise DomainError("analyst charge must cover the payments")
-
-    @property
-    def epsilons(self) -> np.ndarray:
-        """(m, n) privacy levels: 1/(n - k) for each row's winners, 0 otherwise."""
-        n = self.order.shape[1]
-        return np.where(_winner_mask(self.order, self.k),
-                        (1.0 / (n - self.k))[:, None], 0.0)
-
-
 def _reports(inst, values) -> np.ndarray:
     """The (m, n) matrix of reported values, checked as `Population` checks them."""
     values = np.asarray(values, dtype=float)
@@ -105,24 +68,11 @@ def _reports(inst, values) -> np.ndarray:
     return values
 
 
-def _winner_mask(order: np.ndarray, k) -> np.ndarray:
-    """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
-    ranks = np.argsort(order, axis=1)   # each row's inverse permutation
-    return ranks < np.reshape(k, (-1, 1))
-
-
 def _outcome(pop: Population, alloc: Allocation,
              rng: np.random.Generator) -> MechanismOutcome:
     """The run of a one-row allocation: one noisy sum over its winners' bits."""
-    plan = EstimatorPlan(pop.n, alloc.order[0, :alloc.k[0]].tolist())
-    return MechanismOutcome(
-        estimate=laplace_estimator(pop, plan, rng),
-        payments=alloc.payments[0],
-        epsilons=plan.epsilons,
-        analyst_charge=float(alloc.charge[0]),
-        winners=plan.winners,
-        noise_scale=plan.noise_scale,
-    )
+    plan = EstimatorPlan(pop.n, alloc.order[0, :alloc.k[0]])
+    return MechanismOutcome(laplace_estimator(pop, plan, rng), alloc)
 
 
 def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:

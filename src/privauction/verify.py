@@ -14,11 +14,11 @@ from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (CostFamily, DomainError, MechanismOutcome, Population,
-                   TOL, cost_eval)
+from .core import (Allocation, CostFamily, DomainError, MechanismOutcome,
+                   Population, TOL, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
-from .mechanisms import (AccuracyInstance, Allocation, BudgetInstance, fair_query,
+from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
 
 Instance = Union[BudgetInstance, AccuracyInstance]
@@ -57,11 +57,14 @@ class VerificationReport:
 class MisreportGrid:
     """Candidate misreports for each agent.
 
-    Both mechanisms' payments and privacy levels depend on a report only
-    through its position relative to the other reports, so a grid containing
-    every other agent's value (the pivots), the pivots nudged by +-delta, zero,
-    and a few multiples of the agent's own value witnesses any profitable
-    deviation.
+    Between two adjacent pivots (the other agents' values) an agent's report
+    keeps its rank among the others.  `min_cost_auction`'s outcome depends on
+    the report only through that rank.  `fair_query`'s also depends on
+    whether the agent's own cost fits under the budget at her rank, which
+    moves with the report but monotonically within an interval, so each
+    interval's ends decide it.  A grid containing every pivot, the pivots
+    nudged by +-delta, zero, and a few multiples of the agent's own value
+    therefore witnesses any profitable deviation.
     """
 
     delta: Optional[float] = None   # default: 1e-6 * max value
@@ -305,20 +308,18 @@ def check_estimator_privacy(noise_scale: float, shift: float = 1.0,
 # Negative control
 # ---------------------------------------------------------------------------
 
-def _bids(inst: BudgetInstance, values, epsilons):
-    """Pay-your-bid payments and charge: every agent is paid her reported
-    cost at her privacy level (0 for losers, whose level is 0); the charge is
-    their sum.  Works on one profile or on an (m, n) matrix of them."""
-    payments = cost_eval(inst.model, values, epsilons)
-    return payments, payments.sum(axis=-1)
+def _bids(inst: BudgetInstance, values, alloc: Allocation) -> Allocation:
+    """Pay-your-bid repricing of an allocation on an (m, n) matrix of reports:
+    the same winners, each agent paid her reported cost at her privacy level
+    (0 for losers, whose level is 0); the charge is their sum."""
+    payments = cost_eval(inst.model, values, alloc.epsilons)
+    return Allocation(alloc.order, alloc.k, payments, payments.sum(axis=-1))
 
 
 def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:
     """`pay_your_bid_control`'s allocation on each row of an (m, n) matrix of
     reports: `fair_query`'s winners, repriced by `_bids`."""
-    alloc = fair_query.rule(inst, values)
-    payments, charge = _bids(inst, values, alloc.epsilons)
-    return Allocation(alloc.order, alloc.k, payments, charge)
+    return _bids(inst, values, fair_query.rule(inst, values))
 
 
 def pay_your_bid_control(inst: BudgetInstance,
@@ -328,14 +329,11 @@ def pay_your_bid_control(inst: BudgetInstance,
     can overreport within the winning range and be paid more.  Used only as a
     negative control for the truthfulness checker.
 
-    Runs `fair_query` and reprices its winners by `_bids`, as its rule does
-    on matrices of reports."""
+    Runs `fair_query` and reprices its allocation by `_bids`, as its rule
+    does on matrices of reports."""
     out = fair_query(inst, rng)
-    payments, charge = _bids(inst, inst.pop.values, out.epsilons)
-    return MechanismOutcome(
-        estimate=out.estimate, payments=payments, epsilons=out.epsilons,
-        analyst_charge=float(charge), winners=out.winners,
-        noise_scale=out.noise_scale)
+    return MechanismOutcome(out.estimate,
+                            _bids(inst, inst.pop.values[None, :], out.allocation))
 
 
 pay_your_bid_control.rule = _pay_your_bid_rule
@@ -344,6 +342,13 @@ pay_your_bid_control.rule = _pay_your_bid_rule
 # ---------------------------------------------------------------------------
 # Suites over instance corpora
 # ---------------------------------------------------------------------------
+
+def _tolerance(reference: float) -> float:
+    """TOL relative to a reference magnitude, the rule `Allocation` checks
+    charges with: above ~1e7 an absolute 1e-9 is below one ulp.  Comparisons
+    against it are written so that NaN reads as a violation."""
+    return TOL * max(1.0, abs(reference))
+
 
 def _instance_check(name: str, failed: bool, datum, delta) -> VerificationReport:
     """A per-instance property: one violation if the check failed, else none."""
@@ -368,7 +373,8 @@ def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
     else:
         oracle_total = oracle_min_payment_k_units(pop, model, k)
         gap = out.total_payment - oracle_total
-        yield _instance_check("payment_optimality", abs(gap) > TOL,
+        yield _instance_check("payment_optimality",
+                              not abs(gap) <= _tolerance(oracle_total),
                               {"mechanism_total": out.total_payment,
                                "oracle_total": oracle_total}, float(gap))
 
@@ -379,8 +385,10 @@ def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
         acc_alpha = accuracy_level(out, n) / n
         if acc_alpha < 1.0:
             bound = payment_lower_bound(pop, model, acc_alpha)
-            yield _instance_check("payment_lower_bound", out.total_payment < bound - TOL,
-                                  {"bound": bound}, float(out.total_payment - bound))
+            slack = out.total_payment - bound
+            yield _instance_check("payment_lower_bound",
+                                  not slack >= -_tolerance(bound),
+                                  {"bound": bound}, float(slack))
 
 
 def run_suite(instances: Iterable[Instance],
@@ -406,6 +414,6 @@ def run_suite(instances: Iterable[Instance],
         noise_scales.add(out.noise_scale)
         for report in _outcome_checks(mech, inst, out):
             extend(report, idx)
-    for scale in sorted(s for s in noise_scales if s is not None):
+    for scale in sorted(noise_scales):
         extend(check_estimator_privacy(scale), None)
     return list(agg.values())

@@ -264,6 +264,24 @@ def test_sweep_csv(tmp_path):
     assert raw.count(b"\r\n") == 3  # RFC 4180 line endings
 
 
+@pytest.mark.parametrize("param, values", [("q", [0.5, 2]), ("n", [6, 0])])
+def test_sweep_records_a_rejected_population_value(tmp_path, param, values):
+    # like a rejected budget, a swept value the population spec rejects
+    # fails only its own row
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json",
+                       population={"n": 6,
+                                   "values": {"dist": "uniform", "lo": 0, "hi": 10},
+                                   "bits": {"model": "independent", "q": 0.5},
+                                   "seed": 0},
+                       sweep={"parameter": param, "values": values},
+                       output={"path": str(out)})
+    assert main(["sweep", str(cfg)]) == 0
+    good, bad = read_report(out)["records"]
+    assert good["error"] == "" and good["swept_value"] == values[0]
+    assert bad["swept_value"] == values[1] and bad["error"]
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_clean_suite_exits_zero(tmp_path):
@@ -290,6 +308,18 @@ def test_verify_negative_control_exits_one(tmp_path):
     assert main(["verify", str(cfg)]) == 1
     props = {rec["property"]: rec["pass"] for rec in read_report(out)["records"]}
     assert props["truthfulness"] is False
+
+
+def test_verify_payment_optimality_allows_one_ulp(tmp_path):
+    # on instance 2 the mechanism's total 63676307.812320046 and the oracle's
+    # 63676307.81232004 are one ulp (7.45e-9) apart, above an absolute 1e-9
+    cfg = write_config(tmp_path, "cfg.json", scenario="accuracy", budget=None,
+                       alpha=0.9, cost_family="exp_arg",
+                       population={"n": 20,
+                                   "values": {"dist": "lognormal", "mu": 6, "sigma": 3},
+                                   "bits": {"model": "independent", "q": 0.5}},
+                       output={"path": str(tmp_path / "verify.json")})
+    assert main(["verify", str(cfg), "--seed", "1", "--trials", "5"]) == 0
 
 
 # --- installed entry point --------------------------------------------------

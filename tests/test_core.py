@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privauction.core import (ALL_FAMILIES, CorrelatedBits, CostFamily,
+from privauction.core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
                               DomainError, IndependentBits, MechanismOutcome,
                               PointValues, Population, PopulationSpec,
                               UniformValues, cost_eval, generate_population)
@@ -132,15 +132,34 @@ def test_spec_validation():
         IndependentBits(q=1.5)
 
 
-# --- MechanismOutcome ------------------------------------------------------
+# --- Allocation and MechanismOutcome ----------------------------------------
+
+def one_row(order, k, payments, charge) -> Allocation:
+    return Allocation(np.array([order]), np.array([k]),
+                      np.array([payments], dtype=float), np.array([charge], dtype=float))
+
 
 def test_outcome_charge_must_cover_payments():
     with pytest.raises(DomainError):
-        MechanismOutcome(estimate=0.0, payments=[1.0, 1.0], epsilons=[0.5, 0.5],
-                         analyst_charge=1.0, winners=frozenset({0, 1}))
+        one_row([0, 1, 2], 2, [1.0, 1.0, 0.0], 1.0)
 
 
 def test_outcome_losers_have_zero_eps():
+    out = MechanismOutcome(0.0, one_row([2, 0, 1, 3], 2, [1.0, 0.0, 1.0, 0.0], 2.0))
+    assert out.winners == frozenset({0, 2})
+    assert (out.winner_count, out.noise_scale) == (2, 2.0)
+    assert out.epsilons.tolist() == [0.5, 0.0, 0.5, 0.0]   # losers exactly 0
+    assert (out.analyst_charge, out.total_payment) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("k", [3, -1])
+def test_allocation_rejects_k_outside_0_to_n_minus_1(k):
     with pytest.raises(DomainError):
-        MechanismOutcome(estimate=0.0, payments=[0.0, 0.0], epsilons=[0.5, 0.0],
-                         analyst_charge=0.0, winners=frozenset({1}))
+        one_row([0, 1, 2], k, [0.0, 0.0, 0.0], 0.0)
+
+
+def test_outcome_needs_a_one_row_allocation():
+    alloc = Allocation(np.array([[0, 1], [1, 0]]), np.array([0, 0]),
+                       np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(DomainError):
+        MechanismOutcome(0.0, alloc)

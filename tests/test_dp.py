@@ -92,6 +92,26 @@ def test_plan_rejects_full_winner_set():
         EstimatorPlan(n=5, winners=frozenset(range(5)))
 
 
+@pytest.mark.parametrize("winners", [[1, 1], [0, 5], [-1], list(range(5))],
+                         ids=["duplicate", "above-n", "negative", "full"])
+def test_plan_rejects_bad_winner_index_arrays(winners):
+    with pytest.raises(DomainError):
+        EstimatorPlan(n=5, winners=np.array(winners))
+
+
+def test_plan_from_frozenset_or_index_array_is_bit_identical():
+    pop = Population(bits=np.random.default_rng(1).integers(0, 2, 50),
+                     values=np.arange(50.0))
+    winners = [7, 3, 41, 0, 19, 22]
+    from_set = EstimatorPlan(n=50, winners=frozenset(winners))
+    from_array = EstimatorPlan(n=50, winners=np.array(winners))
+    assert from_set.epsilons.tobytes() == from_array.epsilons.tobytes()
+    a = laplace_estimator(pop, from_set, np.random.default_rng(9))
+    b = laplace_estimator(pop, from_array, np.random.default_rng(9))
+    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    assert not from_array.winners.flags.writeable
+
+
 def test_empty_plan_is_half_n_plus_laplace_n():
     pop = Population(bits=np.ones(6, int), values=np.arange(6.0))
     plan = EstimatorPlan(n=6, winners=())

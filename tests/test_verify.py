@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from corpus import random_instances
-from privauction.core import (ALL_FAMILIES, CostFamily, MechanismOutcome,
-                              DomainError, Population, TOL, cost_eval)
+from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
+                              DomainError, MechanismOutcome, Population, TOL,
+                              cost_eval)
 from privauction.dp import ACCURACY_CONST
+from privauction import verify as verify_mod
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
 from privauction.verify import (MisreportGrid, check_envy_freeness,
@@ -25,6 +27,13 @@ from privauction.verify import (MisreportGrid, check_envy_freeness,
 RNG = lambda s=0: np.random.default_rng(s)
 
 
+def hand_built(order, k, payments):
+    """An outcome over a one-row allocation whose charge is its payments' sum."""
+    payments = np.array([payments], dtype=float)
+    alloc = Allocation(np.array([order]), np.array([k]), payments, payments.sum(axis=1))
+    return MechanismOutcome(0.0, alloc)
+
+
 # --- individual rationality -------------------------------------------------
 
 def test_ir_passes_on_fair_query_corpus():
@@ -34,9 +43,9 @@ def test_ir_passes_on_fair_query_corpus():
 
 
 def test_ir_detects_constructed_failure():
-    pop = Population(bits=[1], values=[1.0])
-    out = MechanismOutcome(estimate=0.0, payments=[0.0], epsilons=[1.0],
-                           analyst_charge=0.0, winners=frozenset({0}))
+    # n = 2, k = 1: agent 0 wins at eps = 1 and is paid nothing
+    pop = Population(bits=[1, 0], values=[1.0, 5.0])
+    out = hand_built([0, 1], 1, [0.0, 0.0])
     rep = check_individual_rationality(out, pop, CostFamily.LINEAR)
     assert not rep.passed
     assert rep.violations[0]["delta"] == pytest.approx(-1.0)
@@ -44,9 +53,7 @@ def test_ir_detects_constructed_failure():
 
 def test_ir_vacuous_when_nothing_bought():
     pop = Population(bits=[1, 0], values=[1.0, 2.0])
-    out = MechanismOutcome(estimate=0.0, payments=[0.0, 0.0],
-                           epsilons=[0.0, 0.0], analyst_charge=0.0,
-                           winners=frozenset())
+    out = hand_built([0, 1], 0, [0.0, 0.0])
     assert check_individual_rationality(out, pop, CostFamily.LINEAR).passed
 
 
@@ -63,16 +70,13 @@ def test_envy_free_on_mechanism_outcomes():
 
 def test_envy_detects_unequal_winner_payments():
     pop = Population(bits=[1, 1, 0], values=[1.0, 1.0, 5.0])
-    out = MechanismOutcome(estimate=0.0, payments=[2.0, 3.0, 0.0],
-                           epsilons=[1.0, 1.0, 0.0], analyst_charge=5.0,
-                           winners=frozenset({0, 1}))
+    out = hand_built([0, 1, 2], 2, [2.0, 3.0, 0.0])   # eps = 1 for both winners
     assert not check_envy_freeness(out, pop, CostFamily.LINEAR).passed
 
 
 def test_envy_vacuous_single_agent():
     pop = Population(bits=[1], values=[3.0])
-    out = MechanismOutcome(estimate=0.0, payments=[0.0], epsilons=[0.0],
-                           analyst_charge=0.0, winners=frozenset())
+    out = hand_built([0], 0, [0.0])
     assert check_envy_freeness(out, pop, CostFamily.LINEAR).passed
 
 
@@ -296,6 +300,26 @@ def test_suite_flags_negative_control():
     reports = run_suite(instances, negative_control=True)
     by_name = {r.property_name: r for r in reports}
     assert not by_name["truthfulness"].passed
+
+
+@pytest.mark.parametrize("nan_side", ["mechanism", "reference"])
+def test_nan_payment_totals_are_violations(monkeypatch, nan_side):
+    # k = 8 of 10 and alpha = 0.32 < 1: both payment checks apply
+    inst = AccuracyInstance(pop=Population(bits=np.ones(10, int),
+                                           values=np.arange(1.0, 11.0)),
+                            model=CostFamily.LINEAR, alpha=0.2 * ACCURACY_CONST)
+    checked = ("payment_optimality", "payment_lower_bound")
+    by_name = {r.property_name: r for r in run_suite([inst])}
+    assert all(by_name[name].passed for name in checked)
+    if nan_side == "mechanism":
+        monkeypatch.setattr(MechanismOutcome, "total_payment",
+                            property(lambda self: math.nan))
+    else:
+        monkeypatch.setattr(verify_mod, "oracle_min_payment_k_units",
+                            lambda *args: math.nan)
+        monkeypatch.setattr(verify_mod, "payment_lower_bound", lambda *args: math.nan)
+    by_name = {r.property_name: r for r in run_suite([inst])}
+    assert not any(by_name[name].passed for name in checked)
 
 
 def test_estimator_privacy_grid_check():
