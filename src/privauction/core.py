@@ -55,19 +55,25 @@ def cost_eval(family: CostFamily, v, eps):
     """Privacy cost c(v, eps) of an agent with parameter v at privacy level eps.
 
     Accepts scalars or numpy arrays (broadcasting); returns the same shape.
+    A cost too large for a float is inf, without a warning.
     """
     v = _check_nonneg_finite("v", v)
     eps = _check_nonneg_finite("eps", eps)
-    if family is CostFamily.LINEAR:
-        out = v * eps
-    elif family is CostFamily.QUADRATIC:
-        out = v * eps ** 2
-    elif family is CostFamily.EXP_SCALED:
-        out = np.expm1(eps) * v
-    elif family is CostFamily.EXP_ARG:
-        out = np.expm1(eps * v)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown cost family {family!r}")
+    # An inf cost is the right operand for every caller: it ranks its agent
+    # last, fails every budget test and gives her -inf utility, and
+    # `Allocation` rejects it as a price or payment, so numpy's overflow
+    # warning would only be noise.
+    with np.errstate(over="ignore"):
+        if family is CostFamily.LINEAR:
+            out = v * eps
+        elif family is CostFamily.QUADRATIC:
+            out = v * eps ** 2
+        elif family is CostFamily.EXP_SCALED:
+            out = np.expm1(eps) * v
+        elif family is CostFamily.EXP_ARG:
+            out = np.expm1(eps * v)
+        else:  # pragma: no cover
+            raise DomainError(f"unknown cost family {family!r}")
     if out.ndim == 0:
         return float(out)
     return out

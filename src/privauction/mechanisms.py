@@ -3,11 +3,14 @@
 Both auctions buy the same privacy level eps = 1/(n-k) from the k
 cheapest sellers, run the noisy-sum estimator over the winners' bits, and
 pay a threshold price.  Payments and privacy levels are deterministic
-functions of the reported values; only the estimate is randomized.
+functions of the reported values; only the estimate is randomized.  Each
+instance therefore computes its allocation once, on first use, and every
+mechanism call on it draws only the noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,12 @@ class BudgetInstance:
     def __post_init__(self):
         if not math.isfinite(self.budget) or self.budget < 0:
             raise DomainError("budget must be finite and >= 0")
+
+    @functools.cached_property
+    def truthful(self) -> tuple[Allocation, EstimatorPlan]:
+        """(`fair_query`'s allocation on the truthful reports, its estimator
+        plan), computed on first use and kept."""
+        return _truthful(self, _fair_query_rule)
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,12 @@ class AccuracyInstance:
         """k = ceil((1 - alpha') * n)."""
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
+    @functools.cached_property
+    def truthful(self) -> tuple[Allocation, EstimatorPlan]:
+        """(`min_cost_auction`'s allocation on the truthful reports, its
+        estimator plan), computed on first use and kept."""
+        return _truthful(self, _min_cost_rule)
+
 
 def _reports(inst, values) -> np.ndarray:
     """The (m, n) matrix of reported values, checked as `Population` checks them."""
@@ -68,11 +83,23 @@ def _reports(inst, values) -> np.ndarray:
     return values
 
 
-def _outcome(pop: Population, alloc: Allocation,
-             rng: np.random.Generator) -> MechanismOutcome:
-    """The run of a one-row allocation: one noisy sum over its winners' bits."""
-    plan = EstimatorPlan(pop.n, alloc.order[0, :alloc.k[0]])
-    return MechanismOutcome(laplace_estimator(pop, plan, rng), alloc)
+def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
+    """An instance's allocation by `rule` on its own reports as a one-row
+    matrix, and the estimator plan of that row's winners.
+
+    Instances are frozen, their population arrays read-only, and
+    `dataclasses.replace` builds a new instance, so the kept result cannot go
+    stale.  A rule that raises keeps nothing and raises again on every call.
+    """
+    alloc = rule(inst, inst.pop.values[None, :])
+    return alloc, EstimatorPlan(inst.pop.n, alloc.order[0, :alloc.k[0]])
+
+
+def _outcome(inst, rng: np.random.Generator) -> MechanismOutcome:
+    """A mechanism run: the instance's kept allocation and one noisy sum over
+    its winners' bits."""
+    alloc, plan = inst.truthful
+    return MechanismOutcome(laplace_estimator(inst.pop, plan, rng), alloc)
 
 
 def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
@@ -115,9 +142,10 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
     Picks the largest k in [1, n-1] such that the k-th cheapest seller's cost
     at eps = 1/(n-k) is at most budget/k, buys from the k cheapest, and pays
     each winner min(budget/k, cost of the first excluded seller).  The
-    allocation is `fair_query.rule`, run on the reports as a one-row matrix.
+    allocation is `fair_query.rule`, run on the reports as a one-row matrix
+    once per instance (`BudgetInstance.truthful`).
     """
-    return _outcome(inst.pop, _fair_query_rule(inst, inst.pop.values[None, :]), rng)
+    return _outcome(inst, rng)
 
 
 def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
@@ -140,9 +168,9 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
     With k = ceil((1 - alpha') * n) units to buy, each agent's unit cost is
     w_i = c(v_i, 1/(n-k)); the k cheapest win and are all paid the (k+1)-th
     lowest unit cost.  The allocation is `min_cost_auction.rule`, run on the
-    reports as a one-row matrix.
+    reports as a one-row matrix once per instance (`AccuracyInstance.truthful`).
     """
-    return _outcome(inst.pop, _min_cost_rule(inst, inst.pop.values[None, :]), rng)
+    return _outcome(inst, rng)
 
 
 # Each auction carries its allocation rule, so a misreport check handed the

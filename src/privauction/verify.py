@@ -89,29 +89,41 @@ class MisreportGrid:
 # Per-outcome checks
 # ---------------------------------------------------------------------------
 
+def _tolerance(reference):
+    """TOL relative to a reference magnitude (elementwise on arrays), the rule
+    `Allocation` checks charges with: above ~1e7 an absolute 1e-9 is below
+    one ulp.  Comparisons against it are written so that NaN reads as a
+    violation."""
+    return TOL * np.maximum(1.0, np.abs(reference))
+
+
 def check_individual_rationality(outcome: MechanismOutcome, pop: Population,
                                  model: CostFamily) -> VerificationReport:
-    """Each agent's payment must cover her cost at her realized privacy level."""
+    """Each agent's payment must cover her cost at her realized privacy level,
+    up to `_tolerance` of the payment; a NaN slack is a violation."""
     costs = cost_eval(model, pop.values, outcome.epsilons)
     slack = outcome.payments - costs
     violations = [
         {"agent": int(i), "datum": float(pop.values[i]), "delta": float(slack[i])}
-        for i in np.nonzero(slack < -TOL)[0]
+        for i in np.flatnonzero(~(slack >= -_tolerance(outcome.payments)))
     ]
     return VerificationReport("individual_rationality", violations)
 
 
 def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
                         model: CostFamily) -> VerificationReport:
-    """No agent prefers another agent's (payment, privacy level) bundle."""
-    n = pop.n
+    """No agent prefers another agent's (payment, privacy level) bundle, up to
+    `_tolerance` of the larger of the two payments; a NaN envy is a
+    violation."""
+    payments = outcome.payments
     # cost to agent i of holding agent j's privacy level
     costs = cost_eval(model, pop.values[:, None], outcome.epsilons[None, :])
-    utility = outcome.payments[None, :] - np.atleast_2d(costs)
+    utility = payments[None, :] - np.atleast_2d(costs)
     own = np.diag(utility)
     envy = utility - own[:, None]
+    tol = _tolerance(np.maximum.outer(payments, payments))
     violations = []
-    for i, j in zip(*np.nonzero(envy > TOL)):
+    for i, j in zip(*np.nonzero(~(envy <= tol))):
         violations.append({"agent": int(i), "datum": {"envies": int(j)},
                            "delta": float(envy[i, j])})
     return VerificationReport("envy_freeness", violations)
@@ -233,38 +245,15 @@ def oracle_min_payment_k_units(pop: Population, model: CostFamily, k: int) -> fl
     """Minimum total payment of any truthful IR envy-free fixed-price auction
     guaranteed to buy k units: k times the (k+1)-th lowest unit cost.
 
-    For small n this is cross-validated by enumerating candidate fixed prices
-    (the unit costs and their midpoints) and replaying the deviation argument:
-    any price below the (k+1)-th unit cost lets a winner misreport upward and
-    force the mechanism to buy from a seller who must be paid at least that
-    much.
+    A lower price lets a winner misreport upward into the gap below the
+    (k+1)-th unit cost and force the mechanism to buy from a seller who must
+    be paid at least that much.
     """
     n = pop.n
     if not (1 <= k <= n - 1):
         raise DomainError("k must satisfy 1 <= k <= n-1")
     w = np.sort(cost_eval(model, pop.values, 1.0 / (n - k)), kind="stable")
-    answer = float(k * w[k])
-    if n <= 8:
-        candidates = sorted(set(w) | {(a + b) / 2.0 for a, b in zip(w, w[1:])})
-        feasible = [p for p in candidates if _fixed_price_guarantees_k(w, k, p)]
-        enumerated = k * min(feasible)
-        if abs(enumerated - answer) > TOL:  # pragma: no cover
-            raise AssertionError("enumeration oracle disagrees with closed form")
-    return answer
-
-
-def _fixed_price_guarantees_k(w: np.ndarray, k: int, price: float) -> bool:
-    """Can a truthful IR fixed-price auction at this price guarantee k units?
-
-    Needs: price covers the k cheapest (IR); and no winner can misreport into
-    the gap below the (k+1)-th unit cost to force a higher price (Thm-style
-    deviation), which pins price >= w[k].
-    """
-    if price < w[k - 1] - TOL:
-        return False  # not IR for the k-th cheapest seller
-    if price < w[k] - TOL:
-        return False  # a winner deviating into (price, w[k]) breaks the guarantee
-    return True
+    return float(k * w[k])
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +331,6 @@ pay_your_bid_control.rule = _pay_your_bid_rule
 # ---------------------------------------------------------------------------
 # Suites over instance corpora
 # ---------------------------------------------------------------------------
-
-def _tolerance(reference: float) -> float:
-    """TOL relative to a reference magnitude, the rule `Allocation` checks
-    charges with: above ~1e7 an absolute 1e-9 is below one ulp.  Comparisons
-    against it are written so that NaN reads as a violation."""
-    return TOL * max(1.0, abs(reference))
-
 
 def _instance_check(name: str, failed: bool, datum, delta) -> VerificationReport:
     """A per-instance property: one violation if the check failed, else none."""

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -179,10 +180,10 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, raw):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def _overflow_config(tmp_path, **overrides):
+def _overflow_config(tmp_path, alpha=0.1, **overrides):
     # lognormal(6, 3) values reach ~1e5, where exp_arg's expm1(eps * v) is inf
     return write_config(
-        tmp_path, "cfg.json", scenario="accuracy", budget=None, alpha=0.1,
+        tmp_path, "cfg.json", scenario="accuracy", budget=None, alpha=alpha,
         cost_family="exp_arg", trials=2,
         population={"n": 20, "values": {"dist": "lognormal", "mu": 6, "sigma": 3},
                     "bits": {"model": "independent", "q": 0.5}, "seed": 0},
@@ -206,6 +207,22 @@ def test_sweep_records_overflowing_cost(tmp_path):
     text = out.read_text()
     assert "Infinity" not in text and "NaN" not in text
     assert "finite" in json.loads(text)["records"][0]["error"]
+
+
+@pytest.mark.parametrize("command, alpha, args, code", [
+    ("verify", 0.9, ["--seed", "1", "--trials", "5"], 0),
+    ("run", 0.1, [], 2),
+    ("verify", 0.1, [], 2),
+], ids=["losers-overflow", "price-overflows-run", "price-overflows-verify"])
+def test_overflowing_cost_raises_no_warning(tmp_path, command, alpha, args, code):
+    # at alpha 0.9 only unit costs of agents who lose overflow, which ranks
+    # them last; at alpha 0.1 the price overflows and the command exits 2
+    cfg = _overflow_config(tmp_path, alpha=alpha,
+                           output={"path": str(tmp_path / "report.json")})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(cfg), *args]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # --- sweep ------------------------------------------------------------------

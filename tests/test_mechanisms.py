@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from privauction import mechanisms
 from privauction.core import (ALL_FAMILIES, CostFamily, DomainError,
-                              Population, cost_eval)
+                              IndependentBits, LogNormalValues, Population,
+                              PopulationSpec, cost_eval, generate_population)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
@@ -175,3 +178,68 @@ def test_min_cost_payment_equals_k_times_threshold():
         w = np.sort(cost_eval(inst.model, pop.values, 1.0 / (n - k)), kind="stable")
         assert out.total_payment == pytest.approx(k * w[k], abs=1e-9)
 
+
+
+# --- the per-instance allocation --------------------------------------------
+
+@pytest.fixture
+def cost_evals(monkeypatch):
+    """Counts the allocation rules' cost evaluations."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cost_eval(*args)
+
+    monkeypatch.setattr(mechanisms, "cost_eval", counted)
+    return calls
+
+
+def _both_instances():
+    pop = Population(bits=[1, 0, 1, 1, 0], values=[1.0, 2.0, 4.0, 8.0, 3.0])
+    return [(fair_query, BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=6.0)),
+            (min_cost_auction, AccuracyInstance(pop=pop, model=CostFamily.QUADRATIC,
+                                                alpha=0.5))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["fair_query", "min_cost_auction"])
+def test_repeated_calls_evaluate_the_rule_once(cost_evals, which):
+    mechanism, inst = _both_instances()[which]
+    outs = [mechanism(inst, RNG(seed)) for seed in range(5)]
+    assert len(cost_evals) == 1
+    assert all(out.allocation is outs[0].allocation for out in outs)
+    assert not outs[0].payments.flags.writeable
+    assert len({out.estimate for out in outs}) == 5   # only the noise is redrawn
+
+
+def test_replaced_instance_gets_a_fresh_allocation(cost_evals):
+    _, inst = _both_instances()[0]
+    out = fair_query(inst, RNG())
+    richer = dataclasses.replace(inst, budget=20.0)
+    fresh = fair_query(richer, RNG())
+    assert len(cost_evals) == 2
+    assert fresh.allocation is not out.allocation
+    assert fresh.winner_count > out.winner_count
+    rebuilt = BudgetInstance(pop=inst.pop, model=inst.model, budget=20.0)
+    assert np.array_equal(fresh.payments, fair_query(rebuilt, RNG()).payments)
+
+
+def test_kept_allocation_leaves_equality_and_hash_alone():
+    for mechanism, inst in _both_instances():
+        twin = dataclasses.replace(inst)
+        before = hash(inst)
+        mechanism(inst, RNG())
+        assert hash(inst) == before == hash(twin)
+        assert inst == twin and "truthful" in vars(inst) and "truthful" not in vars(twin)
+        assert "truthful" not in repr(inst)
+
+
+def test_overflowing_rule_raises_on_every_call(cost_evals):
+    # lognormal(6, 3) values reach ~1e5, where exp_arg's price is inf
+    spec = PopulationSpec(n=20, values=LogNormalValues(6.0, 3.0), bits=IndependentBits(0.5))
+    inst = AccuracyInstance(pop=generate_population(spec), model=CostFamily.EXP_ARG,
+                            alpha=0.1)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            min_cost_auction(inst, RNG())
+    assert len(cost_evals) == 2 and "truthful" not in vars(inst)

@@ -57,6 +57,16 @@ def test_ir_vacuous_when_nothing_bought():
     assert check_individual_rationality(out, pop, CostFamily.LINEAR).passed
 
 
+def test_ir_tolerance_is_relative_to_the_payment():
+    # agent 0 wins at eps = 1 (cost 1e8) and is paid one ulp less: rounding,
+    # above an absolute 1e-9 but within 1e-9 of the payment; 1 less is not
+    pop = Population(bits=[1, 0], values=[1e8, 2e8])
+    ulp_short = hand_built([0, 1], 1, [np.nextafter(1e8, 0.0), 0.0])
+    assert check_individual_rationality(ulp_short, pop, CostFamily.LINEAR).passed
+    short = hand_built([0, 1], 1, [1e8 - 1.0, 0.0])
+    assert not check_individual_rationality(short, pop, CostFamily.LINEAR).passed
+
+
 # --- envy-freeness ----------------------------------------------------------
 
 def test_envy_free_on_mechanism_outcomes():
@@ -78,6 +88,27 @@ def test_envy_vacuous_single_agent():
     pop = Population(bits=[1], values=[3.0])
     out = hand_built([0], 0, [0.0])
     assert check_envy_freeness(out, pop, CostFamily.LINEAR).passed
+
+
+def test_envy_tolerance_is_relative_to_the_payments():
+    # agent 1 loses with a cost one ulp below the winner's 1e8 payment at
+    # eps = 1: rounding, within 1e-9 of that payment; 1 below is envy
+    out = hand_built([0, 1], 1, [1e8, 0.0])
+    ulp_below = Population(bits=[1, 0], values=[1.0, np.nextafter(1e8, 0.0)])
+    assert check_envy_freeness(out, ulp_below, CostFamily.LINEAR).passed
+    below = Population(bits=[1, 0], values=[1.0, 1e8 - 1.0])
+    assert not check_envy_freeness(out, below, CostFamily.LINEAR).passed
+
+
+@pytest.mark.parametrize("check", [check_individual_rationality, check_envy_freeness])
+def test_nan_costs_are_violations(monkeypatch, check):
+    inst = BudgetInstance(pop=Population(bits=[1, 0, 1, 1], values=[1.0, 2.0, 4.0, 8.0]),
+                          model=CostFamily.LINEAR, budget=4.0)
+    out = fair_query(inst, RNG())
+    assert out.winner_count > 0 and check(out, inst.pop, inst.model).passed
+    monkeypatch.setattr(verify_mod, "cost_eval",
+                        lambda model, v, eps: np.full(np.broadcast(v, eps).shape, np.nan))
+    assert not check(out, inst.pop, inst.model).passed
 
 
 # --- truthfulness -----------------------------------------------------------
