@@ -295,7 +295,9 @@ class Allocation:
 
 def _winner_mask(order: np.ndarray, k) -> np.ndarray:
     """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
-    ranks = np.argsort(order, axis=1)   # each row's inverse permutation
+    m, n = order.shape
+    ranks = np.empty((m, n), dtype=np.intp)   # each row's inverse permutation
+    ranks[np.arange(m)[:, None], order] = np.arange(n)
     return ranks < np.reshape(k, (-1, 1))
 
 

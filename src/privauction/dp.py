@@ -136,16 +136,31 @@ def laplace_estimator(pop: Population, plan: EstimatorPlan,
 # Reproducible per-trial streams
 # ---------------------------------------------------------------------------
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox the key [key, 0] as its seed sequence.
+
+    `Philox(key=...)` first builds a `SeedSequence` from OS entropy and then
+    discards it; a seed sequence that returns the key itself gives the same
+    generator without that cost.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Independent random stream for one Monte Carlo trial.
 
-    Counter-based: Philox keyed by the master seed with the trial index in
-    the counter's high word, so streams never overlap and derivation does
-    not depend on execution order.
+    Counter-based: Philox keyed by the master seed (mod 2**64) with the trial
+    index in the counter's high word, so streams never overlap and
+    derivation does not depend on execution order.
     """
     if trial < 0:
         raise DomainError("trial index must be >= 0")
-    bitgen = np.random.Philox(key=int(seed) & ((1 << 64) - 1),
+    bitgen = np.random.Philox(_PhiloxKey(int(seed) & ((1 << 64) - 1)),
                               counter=[0, 0, 0, int(trial)])
     return np.random.Generator(bitgen)
 

@@ -140,34 +140,66 @@ def check_budget_feasibility(outcome: MechanismOutcome,
     return VerificationReport("budget_feasibility", violations, tolerance=0.0)
 
 
+#: Most report cells (rows x n) that `check_truthfulness` puts through one
+#: allocation-rule call, unless a single agent's grid is larger.
+_BLOCK_CELLS = 1 << 16
+
+
 def check_truthfulness(mechanism: Mechanism, instance: Instance,
                        grid: Optional[MisreportGrid] = None) -> VerificationReport:
     """No agent can raise her utility by any grid misreport.
 
     Payments and privacy levels are deterministic, so the comparison is exact
     and needs no expectation over noise.  The mechanism runs once on the
-    truthful reports.  Each agent's misreports then go through the
-    mechanism's own allocation rule, `mechanism.rule`, as one matrix with a
+    truthful reports.  The misreports then go through the mechanism's own
+    allocation rule, `mechanism.rule`, one matrix per block of agents with a
     row per misreport, so every candidate meets the same allocation code as
     a full run, and the same fail-closed checks.
+
+    A block is as many consecutive agents as fit whole in `_BLOCK_CELLS`
+    report cells, and at least one.  Small instances thus take one rule call
+    in all, which is what sets their time; the bound keeps a call's working
+    memory that of one agent's grid once n reaches ~150, where that grid
+    alone (~3n rows of n) fills a block.  Violations are listed by agent,
+    then by ascending candidate.
     """
     grid = grid or MisreportGrid()
     pop, model = instance.pop, instance.model
+    values = pop.values
     rng = np.random.default_rng(0)  # noise does not affect payments or eps
     truthful = mechanism(instance, rng)
-    true_util = truthful.payments - cost_eval(model, pop.values, truthful.epsilons)
+    true_util = truthful.payments - cost_eval(model, values, truthful.epsilons)
     violations = []
-    for i in range(pop.n):
-        candidates = grid.candidates_for(pop.values, i)
-        reports = np.tile(pop.values, (candidates.size, 1))
-        reports[:, i] = candidates
+    for agents, candidates in _misreport_blocks(grid, values):
+        rows = np.arange(agents.size)
+        reports = np.tile(values, (rows.size, 1))
+        reports[rows, agents] = candidates
         alloc = mechanism.rule(instance, reports)
-        util = alloc.payments[:, i] - cost_eval(model, pop.values[i],
-                                                alloc.epsilons[:, i])
-        for j in np.flatnonzero(util > true_util[i] + TOL):
+        util = alloc.payments[rows, agents] - cost_eval(
+            model, values[agents], alloc.epsilons[rows, agents])
+        for j in np.flatnonzero(util > true_util[agents] + TOL):
+            i = int(agents[j])
             violations.append({"agent": i, "datum": float(candidates[j]),
                                "delta": float(util[j] - true_util[i])})
     return VerificationReport("truthfulness", violations)
+
+
+def _misreport_blocks(grid: MisreportGrid, values: np.ndarray):
+    """The agents' grids in blocks of consecutive agents, as many as fit
+    whole in `_BLOCK_CELLS` report cells and at least one: per block, the
+    agent of each candidate row and the candidates, agent-major.  Grids are
+    built as their block is reached, so only one block's are held."""
+    n = values.size
+    agents, cands, cells = [], [], 0
+    for i in range(n):
+        c = grid.candidates_for(values, i)
+        if cands and cells + c.size * n > _BLOCK_CELLS:
+            yield np.concatenate(agents), np.concatenate(cands)
+            agents, cands, cells = [], [], 0
+        agents.append(np.full(c.size, i))
+        cands.append(c)
+        cells += c.size * n
+    yield np.concatenate(agents), np.concatenate(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +370,18 @@ def _instance_check(name: str, failed: bool, datum, delta) -> VerificationReport
         name, [{"agent": None, "datum": datum, "delta": delta}] if failed else [])
 
 
+def check_payment_optimality(outcome: MechanismOutcome, pop: Population,
+                             model: CostFamily) -> VerificationReport:
+    """A k-winner outcome's total payment equals the brute-force minimum for
+    k units, up to `_tolerance` of that minimum; a NaN gap is a violation."""
+    oracle_total = oracle_min_payment_k_units(pop, model, outcome.winner_count)
+    gap = outcome.total_payment - oracle_total
+    return _instance_check("payment_optimality",
+                           not abs(gap) <= _tolerance(oracle_total),
+                           {"mechanism_total": outcome.total_payment,
+                            "oracle_total": oracle_total}, float(gap))
+
+
 def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
     """The report of every property that applies to one mechanism outcome,
     in report order."""
@@ -353,12 +397,7 @@ def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
                               {"mechanism_k": k, "oracle_k": oracle_k},
                               float(oracle_k - k))
     else:
-        oracle_total = oracle_min_payment_k_units(pop, model, k)
-        gap = out.total_payment - oracle_total
-        yield _instance_check("payment_optimality",
-                              not abs(gap) <= _tolerance(oracle_total),
-                              {"mechanism_total": out.total_payment,
-                               "oracle_total": oracle_total}, float(gap))
+        yield check_payment_optimality(out, pop, model)
 
     if 0 < k < n:
         alpha = matched_alpha(out, n)

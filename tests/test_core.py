@@ -6,7 +6,8 @@ import pytest
 from privauction.core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
                               DomainError, IndependentBits, MechanismOutcome,
                               PointValues, Population, PopulationSpec,
-                              UniformValues, cost_eval, generate_population)
+                              UniformValues, _winner_mask, cost_eval,
+                              generate_population)
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -163,3 +164,12 @@ def test_outcome_needs_a_one_row_allocation():
                        np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(DomainError):
         MechanismOutcome(0.0, alloc)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 100), (7, 16), (3, 1000)])
+def test_winner_mask_equals_argsort_inverse(m, n):
+    rng = np.random.default_rng(m * n)
+    order = np.argsort(rng.random((m, n)), axis=1)
+    k = rng.integers(0, n, size=m)
+    ref = np.argsort(order, axis=1) < k[:, None]
+    np.testing.assert_array_equal(_winner_mask(order, k), ref)

@@ -140,6 +140,18 @@ def test_trial_streams_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 63, -1, 11, 123456789, 2 ** 64 + 5])
+@pytest.mark.parametrize("trial", [0, 1, 7, 19999, 2 ** 40])
+def test_trial_stream_equals_philox_keyed_by_the_seed(seed, trial):
+    ref = np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1),
+                                               counter=[0, 0, 0, trial]))
+    got = trial_stream(seed, trial)
+    for word in ("key", "counter"):
+        np.testing.assert_array_equal(got.bit_generator.state["state"][word],
+                                      ref.bit_generator.state["state"][word])
+    assert got.random(8).tobytes() == ref.random(8).tobytes()
+
+
 def test_trial_stream_rejects_negative():
     with pytest.raises(DomainError):
         trial_stream(0, -1)

@@ -2,9 +2,12 @@ import dataclasses
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import random_instances
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
@@ -17,6 +20,7 @@ from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
 from privauction.verify import (MisreportGrid, check_envy_freeness,
                                 check_estimator_privacy,
                                 check_individual_rationality, check_necessity,
+                                check_payment_optimality,
                                 check_truthfulness, estimate_accuracy,
                                 impossibility_bound, matched_alpha,
                                 oracle_max_winners_envy_free,
@@ -182,6 +186,57 @@ def test_truthfulness_reads_the_rule_through_a_wrapper():
             == check_truthfulness(fair_query, inst).to_dict())
 
 
+def block_corpus(n, seed):
+    """(mechanism, instance) pairs at n agents over all four cost families:
+    uniform values, the same values floored (ties), and for the budget
+    auctions budget 0 (k = 0); the budget instances also run the
+    pay-your-bid control."""
+    cases = []
+    for kind, mechs in (("budget", (fair_query, pay_your_bid_control)),
+                        ("accuracy", (min_cost_auction,))):
+        for inst in random_instances(4, seed, n_lo=n, n_hi=n, kind=kind):
+            variants = [inst, dataclasses.replace(
+                inst, pop=inst.pop.with_values(np.floor(inst.pop.values)))]
+            if kind == "budget":
+                variants.append(dataclasses.replace(inst, budget=0.0))
+            cases += [(mech, case) for case in variants for mech in mechs]
+    return cases
+
+
+@pytest.mark.parametrize("n", [16, 48, 80])
+def test_truthfulness_blocks_equal_one_agent_per_call(monkeypatch, n):
+    cases = block_corpus(n, seed=30 + n)
+    batched = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
+    assert any(not rep["pass"] for rep in batched)   # the negative control
+    monkeypatch.setattr(verify_mod, "_BLOCK_CELLS", 1)
+    assert batched == [check_truthfulness(mech, inst).to_dict()
+                       for mech, inst in cases]
+
+
+@pytest.mark.parametrize("n, calls", [(16, 1), (48, None), (160, 160)])
+def test_truthfulness_rule_calls_stay_within_a_block(n, calls):
+    shapes = []
+
+    @functools.wraps(fair_query.rule)
+    def recording_rule(inst, values):
+        shapes.append(values.shape)
+        return fair_query.rule(inst, values)
+
+    mech = functools.wraps(fair_query)(lambda inst, rng: fair_query(inst, rng))
+    mech.rule = recording_rule
+    inst = random_instances(1, seed=23, n_lo=n, n_hi=n, kind="budget")[0]
+    assert (check_truthfulness(mech, inst).to_dict()
+            == check_truthfulness(fair_query, inst).to_dict())
+    grids = [MisreportGrid().candidates_for(inst.pop.values, i).size
+             for i in range(n)]
+    assert sum(rows for rows, _ in shapes) == sum(grids)
+    assert all(cols == n for _, cols in shapes)
+    assert max(rows * n for rows, _ in shapes) <= max(verify_mod._BLOCK_CELLS,
+                                                      max(grids) * n)
+    if calls is not None:
+        assert len(shapes) == calls
+
+
 def test_truthfulness_fails_closed_on_a_misreport_overflow():
     inst = AccuracyInstance(pop=Population(bits=[1, 0], values=[1.0, 400.0]),
                             model=CostFamily.EXP_ARG, alpha=0.5 * ACCURACY_CONST)
@@ -208,6 +263,120 @@ def test_grid_candidates_cover_pivots():
     cands = grid.candidates_for(values, 0)
     assert 0.0 in cands and 2.0 in cands and 4.0 in cands
     assert np.all(cands >= 0)
+
+
+# --- tolerance per cost family at extreme magnitudes -------------------------
+
+# zero, the smallest subnormal and 1e300 beside ordinary values
+MAGNITUDE = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def extreme_outcomes(draw, family, kind):
+    """An auction's outcome on an instance with values at extreme magnitudes,
+    skipping instances on which the rule fails closed (a paid cost
+    overflows)."""
+    n = draw(st.integers(2, 8))
+    pop = Population(bits=np.ones(n, int), values=[draw(MAGNITUDE) for _ in range(n)])
+    if kind == "budget":
+        budget = draw(st.one_of(st.floats(0.0, 10.0 * n),
+                                st.sampled_from([1e300, 1e301])))
+        inst, mech = BudgetInstance(pop=pop, model=family, budget=budget), fair_query
+    else:
+        alpha = draw(st.floats(1.0 / n + 1e-9, 0.6)) * ACCURACY_CONST
+        inst = AccuracyInstance(pop=pop, model=family, alpha=alpha)
+        mech = min_cost_auction
+    try:
+        out = mech(inst, RNG())
+    except DomainError:
+        assume(False)
+    return inst, out
+
+
+def repaid(out, payments):
+    """`out` with its payments replaced and its analyst charge kept."""
+    alloc = out.allocation
+    return MechanismOutcome(out.estimate, Allocation(
+        alloc.order, alloc.k, np.array([payments]), alloc.charge))
+
+
+def beyond_tolerance(reference):
+    """Four times the checkers' tolerance at `reference`: a gap that no
+    rounding explains."""
+    return 4.0 * TOL * max(1.0, abs(reference))
+
+
+def nan_costs(model, v, eps):
+    return np.full(np.broadcast(v, eps).shape, np.nan)
+
+
+KINDS = st.sampled_from(["budget", "accuracy"])
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ir_tolerance_per_family(family, data):
+    inst, out = data.draw(extreme_outcomes(family, data.draw(KINDS)))
+    check = lambda o: check_individual_rationality(o, inst.pop, inst.model)
+    assert check(out).passed
+    costs = cost_eval(inst.model, inst.pop.values, out.epsilons)
+    for i in out.winners:
+        payments = out.payments.copy()
+        payments[i] = np.nextafter(costs[i], 0.0) if costs[i] > 0 else 0.0
+        assert check(repaid(out, payments)).passed   # one ulp short: rounding
+        gap = beyond_tolerance(costs[i])
+        if costs[i] >= gap:
+            payments[i] = costs[i] - gap
+            assert [v["agent"] for v in check(repaid(out, payments)).violations] == [i]
+    with mock.patch.object(verify_mod, "cost_eval", nan_costs):
+        assert not check(out).passed
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_envy_tolerance_per_family(family, data):
+    inst, out = data.draw(extreme_outcomes(family, data.draw(KINDS)))
+    check = lambda o: check_envy_freeness(o, inst.pop, inst.model)
+    assert check(out).passed
+    winners = sorted(out.winners)
+    if len(winners) >= 2:
+        i, price = winners[0], out.payments[winners[1]]
+        payments = out.payments.copy()
+        payments[i] = np.nextafter(price, 0.0) if price > 0 else 0.0
+        assert check(repaid(out, payments)).passed   # one ulp short: rounding
+        gap = beyond_tolerance(price)
+        if price >= gap:
+            # winner i, paid less at the same privacy level, envies the other
+            # winners (and the losers' bundle where she is paid below her cost)
+            payments[i] = price - gap
+            rep = check(repaid(out, payments))
+            assert {v["agent"] for v in rep.violations} == {i}
+            assert set(winners[1:]) <= {v["datum"]["envies"] for v in rep.violations}
+    with mock.patch.object(verify_mod, "cost_eval", nan_costs):
+        assert not check(out).passed
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_payment_optimality_tolerance_per_family(family, data):
+    inst, out = data.draw(extreme_outcomes(family, "accuracy"))
+    check = lambda o: check_payment_optimality(o, inst.pop, inst.model)
+    assert check(out).passed
+    oracle = oracle_min_payment_k_units(inst.pop, inst.model, out.winner_count)
+    i = min(out.winners)
+    payments = out.payments.copy()
+    payments[i] = np.nextafter(payments[i], 0.0) if payments[i] > 0 else 0.0
+    assert check(repaid(out, payments)).passed   # one ulp short: rounding
+    gap = beyond_tolerance(oracle)
+    if out.payments[i] >= gap:
+        payments[i] = out.payments[i] - gap
+        assert not check(repaid(out, payments)).passed
+    with mock.patch.object(verify_mod, "oracle_min_payment_k_units",
+                           lambda *args: math.nan):
+        assert not check(out).passed
 
 
 # --- necessity and payment bounds -------------------------------------------
