@@ -236,8 +236,8 @@ def _emit(report: dict, config: ExperimentConfig, stream) -> None:
     if config.output_format == "csv":
         _emit_csv(report, stream)
     else:
-        json.dump(report, stream, indent=2, sort_keys=True, allow_nan=False)
-        stream.write("\n")
+        # one write: json.dump's pure-Python indenting encoder writes per chunk
+        stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -324,20 +324,20 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command is a positional choice and every command
+    takes the same options, so no subparser is built per command."""
     parser = argparse.ArgumentParser(
         prog="privauction",
         description="Auctions for buying differential privacy: experiment runner.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "verify", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--output", default=None, help="override output path")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="override output format")
-        p.add_argument("--clamp", action="store_true",
-                       help="clamp reported estimates to [0, n]")
+    parser.add_argument("command", choices=("run", "verify", "sweep"))
+    parser.add_argument("config", help="path to JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--trials", type=int, default=None, help="override trial count")
+    parser.add_argument("--output", default=None, help="override output path")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="override output format")
+    parser.add_argument("--clamp", action="store_true",
+                        help="clamp reported estimates to [0, n]")
     return parser
 
 

@@ -32,6 +32,11 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
+#: What a zero uniform draw is read as: 2**-53, the smallest nonzero value
+#: `Generator.random` returns, where the transform below is still finite.
+_SMALLEST_U = 2.0 ** -53
+
+
 def lap_sample(scale: float, rng: np.random.Generator, size=None):
     """Draw from the zero-mean Laplace distribution with the given scale.
 
@@ -39,15 +44,16 @@ def lap_sample(scale: float, rng: np.random.Generator, size=None):
     x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
     """
     scale = _check_scale(scale)
-    u = rng.random(size) if size is not None else rng.random()
-    u = np.asarray(u)
     # rng.random() can return exactly 0, where the transform diverges
-    u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    half = u - 0.5
-    x = -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
     if size is None:
-        return float(x)
-    return x
+        half = (rng.random() or _SMALLEST_U) - 0.5
+        sign = (half > 0) - (half < 0)
+        # np.log1p, not math.log1p: the two differ in the last ulp on some
+        # inputs, and every seeded estimate is drawn through this one
+        return float(-scale * sign * np.log1p(-2.0 * abs(half)))
+    u = rng.random(size)
+    half = np.where(u == 0.0, _SMALLEST_U, u) - 0.5
+    return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
 
 
 def lap_density(scale: float, x):

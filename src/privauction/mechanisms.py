@@ -73,13 +73,19 @@ class AccuracyInstance:
         return _truthful(self, _min_cost_rule)
 
 
-def _reports(inst, values) -> np.ndarray:
-    """The (m, n) matrix of reported values, checked as `Population` checks them."""
+def _report_values(values) -> np.ndarray:
+    """Reported values as floats, checked as `Population` checks them."""
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != inst.pop.n:
-        raise DomainError("reports must form an (m, n) matrix, n the population size")
     if not np.isfinite(values).all() or (values < 0).any():
         raise DomainError("values must be finite and >= 0")
+    return values
+
+
+def _reports(inst, values) -> np.ndarray:
+    """The (m, n) matrix of reported values, checked by `_report_values`."""
+    values = _report_values(values)
+    if values.ndim != 2 or values.shape[1] != inst.pop.n:
+        raise DomainError("reports must form an (m, n) matrix, n the population size")
     return values
 
 
@@ -136,6 +142,74 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     return Allocation(order, k, payments, total)
 
 
+def _positions(keys: np.ndarray, agents, reports):
+    """The keys in stable ascending order (ties by index), each agent's
+    position s in that order, and the position p that agent `agents[j]`'s
+    report `reports[j]` takes among the others' keys, ties by index.
+
+    One `searchsorted` on composite keys (the count of smaller keys * n +
+    agent index), which ascend along the order, counts the agents ranked
+    before the report; the agent's own key is then taken out of that count.
+    """
+    n = keys.size
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    s = np.empty(n, dtype=np.intp)
+    s[order] = np.arange(n)
+    below = np.searchsorted(ordered, reports)   # keys below each report
+    tied = ordered.take(below, mode="clip") == reports
+    composite = np.searchsorted(ordered, ordered) * n + order
+    p = np.searchsorted(composite, below * n + np.where(tied, agents, 0))
+    return ordered, s[agents], p - (keys[agents] < reports)
+
+
+def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
+    """`fair_query` on rows in which only agent `agents[j]` misreports, as
+    `reports[j]`: per row (k, her payment, her eps, the price).
+
+    The price is before the rule's budget nudge, which only lowers it, so
+    her payment is an upper bound on the rule's.  With her at position p
+    among the others and at s in the truthful order, the k-th cheapest
+    report of her row is the truthful sorted value at k-2, k-1 or k, or her
+    own; so three feasibility diagonals over k, their running last feasible
+    k, and one cost of her own give the largest feasible k in O(1) a row.
+    """
+    model, budget = inst.model, inst.budget
+    reports = _report_values(reports)
+    n, last_k = inst.pop.n, inst.pop.n - 1
+    v_sorted, s, p = _positions(inst.pop.values, agents, reports)
+    ks = np.arange(n)                  # k = 0 is never feasible
+    eps = 1.0 / (n - ks)
+    cap = budget / np.maximum(ks, 1)
+    # last[d + 1, k]: the largest k' <= k that is feasible when the k'-th
+    # cheapest report is the truthful sorted value at k' - 1 + d
+    at = ks - 1 + np.arange(-1, 2)[:, None]
+    fits = (ks >= 1) & (at >= 0)
+    fits &= cost_eval(model, v_sorted.take(at, mode="clip"), eps) <= cap
+    last = np.maximum.accumulate(np.where(fits, ks, 0), axis=1)
+
+    def best(d, lo, hi):
+        found = last[d + 1, hi]
+        return np.where(found >= lo, found, 0)
+
+    own_k = p + 1
+    own_fits = own_k <= last_k
+    own_fits &= cost_eval(model, reports, eps.take(own_k, mode="clip")) <= budget / own_k
+    k = np.maximum.reduce([
+        last[1, np.minimum(p, s)],                   # k <= p, k <= s
+        best(1, s + 1, p),                           # s < k <= p
+        np.where(own_fits, own_k, 0),                # her report is the k-th
+        best(-1, p + 2, np.minimum(s + 1, last_k)),  # p + 1 < k <= s + 1
+        best(0, np.maximum(p, s) + 2, last_k),       # k > p + 1, k > s + 1
+    ])
+    # the first excluded report: hers, or the truthful sorted value at
+    excluded = np.where(k < p, k + (k >= s), k - (k <= s))
+    first_out = np.where(k == p, reports, v_sorted.take(excluded, mode="clip"))
+    price = np.where(k > 0, np.minimum(cap[k], cost_eval(model, first_out, eps[k])), 0.0)
+    won = p < k
+    return k, np.where(won, price, 0.0), np.where(won, eps[k], 0.0), price
+
+
 def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutcome:
     """Budget-constrained auction.
 
@@ -162,6 +236,31 @@ def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
     return Allocation(order, np.full(m, k), payments, k * price)
 
 
+def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
+    """`min_cost_auction` on rows in which only agent `agents[j]` misreports,
+    as `reports[j]`: per row (k, her payment, her eps, the price), all exact.
+
+    She wins iff her unit cost's position p among the others' is below k.
+    The price, the (k+1)-th lowest unit cost of her row, is the others' k-th
+    if she wins, her own if p = k, and the others' (k+1)-th otherwise.
+    Fails closed as the rule's `Allocation` does: a row whose charge k *
+    price is not finite raises `DomainError`.
+    """
+    reports = _report_values(reports)
+    n, k = inst.pop.n, inst.winner_count
+    eps = 1.0 / (n - k)
+    w = cost_eval(inst.model, inst.pop.values, np.full(n, eps))
+    own = cost_eval(inst.model, reports, np.full(reports.size, eps))
+    w_sorted, s, p = _positions(w, agents, own)
+    at = np.where(p < k, k - (k <= s), k + (k >= s))
+    price = np.where(p == k, own, w_sorted.take(at, mode="clip"))
+    if not np.isfinite(k * price).all():
+        raise DomainError("payments and analyst charge must be finite, payments "
+                          ">= 0 (a cost overflowed)")
+    won = p < k
+    return np.full(p.size, k), np.where(won, price, 0.0), np.where(won, eps, 0.0), price
+
+
 def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> MechanismOutcome:
     """Accuracy-constrained auction (a multi-unit VCG).
 
@@ -173,9 +272,12 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
     return _outcome(inst, rng)
 
 
-# Each auction carries its allocation rule, so a misreport check handed the
-# mechanism (or a functools.wraps wrapper of it) evaluates whole matrices of
-# reports through the same code.
+# Each auction carries its allocation rule and its unilateral form, so a
+# misreport check handed the mechanism (or a functools.wraps wrapper of it)
+# sweeps one agent's deviations and evaluates whole matrices of reports
+# through the same code.
 fair_query.rule = _fair_query_rule
+fair_query.unilateral = _fair_query_unilateral
 min_cost_auction.rule = _min_cost_rule
+min_cost_auction.unilateral = _min_cost_unilateral
 

@@ -23,7 +23,10 @@ from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
 
 Instance = Union[BudgetInstance, AccuracyInstance]
 #: A mechanism run; `check_truthfulness` also reads its allocation rule, the
-#: attribute `rule`: (instance, (m, n) reports) -> Allocation.
+#: attribute `rule`: (instance, (m, n) reports) -> Allocation, and its
+#: unilateral form, the attribute `unilateral`: (instance, agents, reports)
+#: -> per row (k, the agent's payment and eps, the price), where only agent
+#: agents[j] misreports, as reports[j], and her payment may be an upper bound.
 Mechanism = Callable[[Instance, np.random.Generator], MechanismOutcome]
 
 
@@ -62,27 +65,40 @@ class MisreportGrid:
     the report only through that rank.  `fair_query`'s also depends on
     whether the agent's own cost fits under the budget at her rank, which
     moves with the report but monotonically within an interval, so each
-    interval's ends decide it.  A grid containing every pivot, the pivots
-    nudged by +-delta, zero, and a few multiples of the agent's own value
-    therefore witnesses any profitable deviation.
+    interval's ends decide it.  Agent i's grid is every other agent's value,
+    those values nudged by +-delta (clipped at 0), zero, and her own value
+    times each multiplier; it therefore witnesses any profitable deviation.
     """
 
     delta: Optional[float] = None   # default: 1e-6 * max value
     multipliers: Sequence[float] = (0.5, 0.9, 1.1, 2.0)
 
-    def candidates_for(self, values: np.ndarray, i: int) -> np.ndarray:
+    def candidates(self, values: np.ndarray):
+        """(agents, candidates): every agent's grid, ascending and without
+        repeats, concatenated agent-major.
+
+        Built in one pass over the union of all grids: a pivot is in agent
+        i's grid unless every copy of it is one of her own three, and her
+        multiples are added back.
+        """
         delta = self.delta
         if delta is None:
             delta = 1e-6 * max(float(values.max()), 1.0)
-        others = np.delete(values, i)
-        cands = np.concatenate([
-            [0.0],
-            others,
-            others + delta,
-            np.maximum(others - delta, 0.0),
-            values[i] * np.asarray(self.multipliers),
-        ])
-        return np.unique(cands[cands >= 0])
+        n, rows = values.size, np.arange(values.size)
+        pivots = np.concatenate([[0.0], values, values + delta,
+                                 np.maximum(values - delta, 0.0)])
+        multiples = values[:, None] * np.asarray(self.multipliers, dtype=float)
+        columns = np.unique(np.concatenate([pivots, multiples.ravel()]))
+        at = np.searchsorted(columns, pivots)
+        count = np.bincount(at, minlength=columns.size)
+        own = at[1:].reshape(3, n)       # the zero pivot is nobody's own
+        keep = np.tile(count > 0, (n, 1))
+        for col in own:
+            keep[rows, col] = count[col] > (own == col).sum(axis=0)
+        keep[rows[:, None], np.searchsorted(columns, multiples)] = True
+        keep &= columns >= 0
+        agents, at = np.nonzero(keep)
+        return agents, columns[at]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +156,8 @@ def check_budget_feasibility(outcome: MechanismOutcome,
     return VerificationReport("budget_feasibility", violations, tolerance=0.0)
 
 
-#: Most report cells (rows x n) that `check_truthfulness` puts through one
-#: allocation-rule call, unless a single agent's grid is larger.
+#: Most candidate rows one unilateral sweep call takes, and most report
+#: cells (rows x n) one allocation-rule call takes, unless one row is larger.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -151,55 +167,71 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
 
     Payments and privacy levels are deterministic, so the comparison is exact
     and needs no expectation over noise.  The mechanism runs once on the
-    truthful reports.  The misreports then go through the mechanism's own
-    allocation rule, `mechanism.rule`, one matrix per block of agents with a
-    row per misreport, so every candidate meets the same allocation code as
-    a full run, and the same fail-closed checks.
+    truthful reports.  Each grid candidate then goes through the mechanism's
+    unilateral form, `mechanism.unilateral`, a pivot sweep over the
+    deviating agent's rank that costs O(1) a candidate (Archer & Tardos,
+    FOCS'01).  Its payments are upper bounds: `fair_query`'s budget nudge,
+    which only lowers a price, is left out.  Only the candidates whose bound
+    beats the truthful utility by more than `TOL` go through the allocation
+    rule, `mechanism.rule`, as rows of report matrices of at most
+    `_BLOCK_CELLS` cells, and their exact utilities decide.  Violations are
+    listed by agent, then by ascending candidate.
 
-    A block is as many consecutive agents as fit whole in `_BLOCK_CELLS`
-    report cells, and at least one.  Small instances thus take one rule call
-    in all, which is what sets their time; the bound keeps a call's working
-    memory that of one agent's grid once n reaches ~150, where that grid
-    alone (~3n rows of n) fills a block.  Violations are listed by agent,
-    then by ascending candidate.
+    Fails closed with `DomainError`: on a non-finite report or price in any
+    row, as the rule's `Allocation` does; when the sweep at each agent's own
+    value does not reproduce the truthful k, winners and privacy levels, or
+    pays less than the truthful run; and when the rule pays a candidate more
+    than the sweep's bound, since the bound then decides nothing.
     """
     grid = grid or MisreportGrid()
     pop, model = instance.pop, instance.model
     values = pop.values
+    n = values.size
     rng = np.random.default_rng(0)  # noise does not affect payments or eps
     truthful = mechanism(instance, rng)
-    true_util = truthful.payments - cost_eval(model, values, truthful.epsilons)
+    true_k, true_pay, true_eps = (truthful.winner_count, truthful.payments,
+                                  truthful.epsilons)
+    true_util = true_pay - cost_eval(model, values, true_eps)
+    agents, candidates = grid.candidates(values)
+    # each agent's own value leads: there the sweep must reproduce the run
+    agents = np.concatenate([np.arange(n), agents])
+    candidates = np.concatenate([values, candidates])
+    doubtful, bounds = [], []
+    for lo in range(0, candidates.size, _BLOCK_CELLS):
+        a, c = agents[lo:lo + _BLOCK_CELLS], candidates[lo:lo + _BLOCK_CELLS]
+        k, pay, eps, price = mechanism.unilateral(instance, a, c)
+        if not np.isfinite(price).all():
+            raise DomainError("payments and analyst charge must be finite, payments "
+                              ">= 0 (a cost overflowed)")
+        own = np.arange(lo, lo + a.size) < n
+        i = a[own]
+        if not ((k[own] == true_k).all() and (eps[own] == true_eps[i]).all()
+                and (pay[own] >= true_pay[i]).all()):
+            raise DomainError("the unilateral form does not reproduce the truthful run")
+        bound = pay - cost_eval(model, values[a], eps)
+        rows = np.flatnonzero(~(bound <= true_util[a] + TOL) & ~own)
+        doubtful.append(lo + rows)
+        bounds.append(bound[rows])
+    doubtful, bounds = np.concatenate(doubtful), np.concatenate(bounds)
+
     violations = []
-    for agents, candidates in _misreport_blocks(grid, values):
-        rows = np.arange(agents.size)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, doubtful.size, step):
+        picked = doubtful[lo:lo + step]
+        a, c, rows = agents[picked], candidates[picked], np.arange(picked.size)
         reports = np.tile(values, (rows.size, 1))
-        reports[rows, agents] = candidates
+        reports[rows, a] = c
         alloc = mechanism.rule(instance, reports)
-        util = alloc.payments[rows, agents] - cost_eval(
-            model, values[agents], alloc.epsilons[rows, agents])
-        for j in np.flatnonzero(util > true_util[agents] + TOL):
-            i = int(agents[j])
-            violations.append({"agent": i, "datum": float(candidates[j]),
+        util = alloc.payments[rows, a] - cost_eval(model, values[a],
+                                                   alloc.epsilons[rows, a])
+        if not (util <= bounds[lo:lo + step]).all():
+            raise DomainError("the allocation rule pays a misreport more than "
+                              "the unilateral form's bound")
+        for j in np.flatnonzero(util > true_util[a] + TOL):
+            i = int(a[j])
+            violations.append({"agent": i, "datum": float(c[j]),
                                "delta": float(util[j] - true_util[i])})
     return VerificationReport("truthfulness", violations)
-
-
-def _misreport_blocks(grid: MisreportGrid, values: np.ndarray):
-    """The agents' grids in blocks of consecutive agents, as many as fit
-    whole in `_BLOCK_CELLS` report cells and at least one: per block, the
-    agent of each candidate row and the candidates, agent-major.  Grids are
-    built as their block is reached, so only one block's are held."""
-    n = values.size
-    agents, cands, cells = [], [], 0
-    for i in range(n):
-        c = grid.candidates_for(values, i)
-        if cands and cells + c.size * n > _BLOCK_CELLS:
-            yield np.concatenate(agents), np.concatenate(cands)
-            agents, cands, cells = [], [], 0
-        agents.append(np.full(c.size, i))
-        cands.append(c)
-        cells += c.size * n
-    yield np.concatenate(agents), np.concatenate(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +389,15 @@ def pay_your_bid_control(inst: BudgetInstance,
                             _bids(inst, inst.pop.values[None, :], out.allocation))
 
 
+def _pay_your_bid_unilateral(inst: BudgetInstance, agents, reports):
+    """`pay_your_bid_control`'s unilateral form: `fair_query`'s, with the
+    deviating agent paid her reported cost at her privacy level."""
+    k, _, eps, price = fair_query.unilateral(inst, agents, reports)
+    return k, cost_eval(inst.model, np.asarray(reports, dtype=float), eps), eps, price
+
+
 pay_your_bid_control.rule = _pay_your_bid_rule
+pay_your_bid_control.unilateral = _pay_your_bid_unilateral
 
 
 # ---------------------------------------------------------------------------

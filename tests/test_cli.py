@@ -125,6 +125,23 @@ def test_invalid_json_line_anchored(tmp_path, capsys):
     assert ":3:" in err  # line number of the defect
 
 
+@pytest.mark.parametrize("argv", [["audit", "config.json"], ["verify"], []],
+                         ids=["unknown-command", "missing-config", "no-arguments"])
+def test_usage_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: privauction" in capsys.readouterr().err
+
+
+def test_options_parse_before_and_after_the_config(tmp_path):
+    cfg = write_config(tmp_path, "c.json")
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["run", str(cfg), "--seed", "43", "--output", str(out1)]) == 0
+    assert main(["run", "--seed", "43", "--output", str(out2), str(cfg)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_missing_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", budget=None)
     assert main(["run", str(cfg)]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,23 @@ def test_sample_deterministic():
     a = lap_sample(2.0, np.random.default_rng(5), size=10)
     b = lap_sample(2.0, np.random.default_rng(5), size=10)
     np.testing.assert_array_equal(a, b)
+
+
+class ZeroUniforms:
+    """A generator stub whose every uniform draw is exactly 0."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_zero_uniform_gives_a_finite_sample():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = lap_sample(2.0, ZeroUniforms())
+        vector = lap_sample(2.0, ZeroUniforms(), size=3)
+    # u = 2**-53: x = -2 ln(1 - 2|u - 1/2|) = -2 ln(2**-52)
+    assert scalar == pytest.approx(-104.0 * math.log(2.0), rel=1e-12)
+    np.testing.assert_array_equal(vector, np.full(3, scalar))
 
 
 def test_sample_scale_validation():

@@ -148,6 +148,23 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
     return False
 
 
+def grid_for(grid, values, i):
+    """Oracle: agent i's misreport grid by its definition, the candidates
+    `MisreportGrid.candidates` builds for all agents in one pass."""
+    delta = grid.delta
+    if delta is None:
+        delta = 1e-6 * max(float(values.max()), 1.0)
+    others = np.delete(values, i)
+    cands = np.concatenate([
+        [0.0],
+        others,
+        others + delta,
+        np.maximum(others - delta, 0.0),
+        values[i] * np.asarray(grid.multipliers),
+    ])
+    return np.unique(cands[cands >= 0])
+
+
 def reference_check_truthfulness(mechanism, inst, grid=None):
     """Oracle: the per-misreport loop, one full mechanism run per grid
     candidate, that `check_truthfulness` batches through the allocation rule."""
@@ -158,7 +175,7 @@ def reference_check_truthfulness(mechanism, inst, grid=None):
     true_util = truthful.payments - cost_eval(inst.model, pop.values, truthful.epsilons)
     violations = []
     for i in range(pop.n):
-        for v_prime in grid.candidates_for(pop.values, i):
+        for v_prime in grid_for(grid, pop.values, i):
             reported = pop.values.copy()
             reported[i] = v_prime
             out = mechanism(dataclasses.replace(inst, pop=pop.with_values(reported)), rng)
@@ -186,55 +203,141 @@ def test_truthfulness_reads_the_rule_through_a_wrapper():
             == check_truthfulness(fair_query, inst).to_dict())
 
 
-def block_corpus(n, seed):
+def batched_check_truthfulness(mechanism, inst, block_cells=1 << 16):
+    """Oracle: every grid candidate through `mechanism.rule`, consecutive
+    agents' grids stacked into report matrices of at most `block_cells`
+    cells (at least one agent each), which `check_truthfulness` replaces by
+    a unilateral sweep."""
+    grid, pop, model = MisreportGrid(), inst.pop, inst.model
+    values, n = pop.values, pop.n
+    truthful = mechanism(inst, RNG())
+    true_util = truthful.payments - cost_eval(model, values, truthful.epsilons)
+    blocks, agents, cands = [], [], []
+    for i in range(n):
+        c = grid_for(grid, values, i)
+        if cands and (sum(map(len, cands)) + c.size) * n > block_cells:
+            blocks.append((np.concatenate(agents), np.concatenate(cands)))
+            agents, cands = [], []
+        agents.append(np.full(c.size, i))
+        cands.append(c)
+    blocks.append((np.concatenate(agents), np.concatenate(cands)))
+    violations = []
+    for agents, candidates in blocks:
+        rows = np.arange(agents.size)
+        reports = np.tile(values, (rows.size, 1))
+        reports[rows, agents] = candidates
+        alloc = mechanism.rule(inst, reports)
+        util = alloc.payments[rows, agents] - cost_eval(
+            model, values[agents], alloc.epsilons[rows, agents])
+        for j in np.flatnonzero(util > true_util[agents] + TOL):
+            i = int(agents[j])
+            violations.append({"agent": i, "datum": float(candidates[j]),
+                               "delta": float(util[j] - true_util[i])})
+    return {"property": "truthfulness", "pass": not violations,
+            "violations": violations, "tolerance": TOL}
+
+
+def block_corpus(n, seed, count=4):
     """(mechanism, instance) pairs at n agents over all four cost families:
     uniform values, the same values floored (ties), and for the budget
-    auctions budget 0 (k = 0); the budget instances also run the
-    pay-your-bid control."""
+    auctions budget 0 (k = 0) and a budget that binds the price; the budget
+    instances also run the pay-your-bid control."""
     cases = []
     for kind, mechs in (("budget", (fair_query, pay_your_bid_control)),
                         ("accuracy", (min_cost_auction,))):
-        for inst in random_instances(4, seed, n_lo=n, n_hi=n, kind=kind):
+        for inst in random_instances(count, seed, n_lo=n, n_hi=n, kind=kind):
             variants = [inst, dataclasses.replace(
                 inst, pop=inst.pop.with_values(np.floor(inst.pop.values)))]
             if kind == "budget":
                 variants.append(dataclasses.replace(inst, budget=0.0))
+                variants.append(dataclasses.replace(inst, budget=binding_budget(inst)))
             cases += [(mech, case) for case in variants for mech in mechs]
     return cases
 
 
-@pytest.mark.parametrize("n", [16, 48, 80])
-def test_truthfulness_blocks_equal_one_agent_per_call(monkeypatch, n):
-    cases = block_corpus(n, seed=30 + n)
-    batched = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
-    assert any(not rep["pass"] for rep in batched)   # the negative control
-    monkeypatch.setattr(verify_mod, "_BLOCK_CELLS", 1)
-    assert batched == [check_truthfulness(mech, inst).to_dict()
-                       for mech, inst in cases]
+def binding_budget(inst):
+    """A budget at which fair_query's price is budget/k: k times the
+    midpoint between the k-th cheapest report's cost and the first excluded
+    one's, at the k of the instance's own budget (1 if that buys none)."""
+    n = inst.pop.n
+    k = max(fair_query(inst, RNG()).winner_count, 1)
+    v = np.sort(inst.pop.values)
+    last_in, first_out = cost_eval(inst.model, v[k - 1:k + 1], 1.0 / (n - k))
+    return float(k * (last_in + first_out) / 2.0)
 
 
-@pytest.mark.parametrize("n, calls", [(16, 1), (48, None), (160, 160)])
-def test_truthfulness_rule_calls_stay_within_a_block(n, calls):
-    shapes = []
+@pytest.mark.parametrize("n, count", [(16, 4), (48, 4), (80, 4), (128, 1)])
+def test_truthfulness_equals_batched_reference(n, count):
+    cases = block_corpus(n, seed=30 + n, count=count)
+    reports = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
+    assert any(not rep["pass"] for rep in reports)   # the negative control
+    assert reports == [batched_check_truthfulness(mech, inst) for mech, inst in cases]
 
-    @functools.wraps(fair_query.rule)
-    def recording_rule(inst, values):
-        shapes.append(values.shape)
-        return fair_query.rule(inst, values)
 
-    mech = functools.wraps(fair_query)(lambda inst, rng: fair_query(inst, rng))
-    mech.rule = recording_rule
-    inst = random_instances(1, seed=23, n_lo=n, n_hi=n, kind="budget")[0]
-    assert (check_truthfulness(mech, inst).to_dict()
-            == check_truthfulness(fair_query, inst).to_dict())
-    grids = [MisreportGrid().candidates_for(inst.pop.values, i).size
-             for i in range(n)]
-    assert sum(rows for rows, _ in shapes) == sum(grids)
-    assert all(cols == n for _, cols in shapes)
-    assert max(rows * n for rows, _ in shapes) <= max(verify_mod._BLOCK_CELLS,
-                                                      max(grids) * n)
-    if calls is not None:
-        assert len(shapes) == calls
+def recording(mechanism):
+    """A functools.wraps wrapper of `mechanism` whose rule records the row
+    count of every report matrix it is given."""
+    rows = []
+
+    @functools.wraps(mechanism.rule)
+    def rule(inst, values):
+        rows.append(values.shape[0])
+        return mechanism.rule(inst, values)
+
+    wrapped = functools.wraps(mechanism)(lambda inst, rng: mechanism(inst, rng))
+    wrapped.rule = rule
+    return wrapped, rows
+
+
+@pytest.mark.parametrize("mechanism", [fair_query, min_cost_auction],
+                         ids=["fair_query", "min_cost_auction"])
+def test_truthful_corpora_send_no_rows_to_the_rule(mechanism):
+    for n in (2, 16, 48):
+        for mech, inst in block_corpus(n, seed=40 + n):
+            if mech is mechanism:
+                recorded, rows = recording(mechanism)
+                assert check_truthfulness(recorded, inst).passed
+                assert rows == []
+
+
+def test_the_rule_decides_only_the_control_s_violations():
+    mech, rows = recording(pay_your_bid_control)
+    inst = random_instances(1, seed=24, n_lo=48, n_hi=48, kind="budget")[0]
+    report = check_truthfulness(mech, inst)
+    assert len(report.violations) == sum(rows) > 0
+
+
+def with_forms(run, rule, unilateral):
+    """A wrapper of the mechanism run `run` carrying the given forms."""
+    mech = functools.wraps(run)(lambda inst, rng: run(inst, rng))
+    mech.rule, mech.unilateral = rule, unilateral
+    return mech
+
+
+@pytest.mark.parametrize("mech", [
+    # the rule pays threshold prices where the sweep bounds bids
+    with_forms(pay_your_bid_control, fair_query.rule, pay_your_bid_control.unilateral),
+    # the sweep pays bids below the truthful run's threshold prices
+    with_forms(fair_query, fair_query.rule, pay_your_bid_control.unilateral),
+], ids=["rule-pays-more", "unilateral-pays-less"])
+def test_truthfulness_raises_when_rule_and_unilateral_disagree(mech):
+    for inst in random_instances(12, seed=25, kind="budget"):
+        if fair_query(inst, RNG()).winner_count > 0:
+            with pytest.raises(DomainError):
+                check_truthfulness(mech, inst)
+
+
+@pytest.mark.parametrize("grid", [MisreportGrid(), MisreportGrid(delta=0.5),
+                                  MisreportGrid(delta=0.0, multipliers=(1.0, 3.0)),
+                                  MisreportGrid(delta=-0.25, multipliers=(-1.0, 0.5))])
+def test_grid_candidates_equal_per_agent_definition(grid):
+    for inst in random_instances(20, seed=26, n_lo=1, kind="budget"):
+        for values in (inst.pop.values, np.floor(inst.pop.values), np.zeros(inst.pop.n)):
+            agents, cands = grid.candidates(values)
+            grids = [grid_for(grid, values, i) for i in range(values.size)]
+            assert np.array_equal(agents, np.repeat(np.arange(values.size),
+                                                    [g.size for g in grids]))
+            assert np.array_equal(cands, np.concatenate(grids))
 
 
 def test_truthfulness_fails_closed_on_a_misreport_overflow():
@@ -260,7 +363,8 @@ def test_pay_your_bid_control_is_manipulable():
 def test_grid_candidates_cover_pivots():
     grid = MisreportGrid()
     values = np.array([1.0, 2.0, 4.0])
-    cands = grid.candidates_for(values, 0)
+    agents, cands = grid.candidates(values)
+    cands = cands[agents == 0]
     assert 0.0 in cands and 2.0 in cands and 4.0 in cands
     assert np.all(cands >= 0)
 
