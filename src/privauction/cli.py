@@ -24,7 +24,7 @@ import numpy as np
 from . import verify as verify_mod
 from .core import (CorrelatedBits, CostFamily, DomainError, IndependentBits,
                    PopulationSpec, generate_population)
-from .dp import ACCURACY_CONST, trial_stream
+from .dp import trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
 
@@ -177,7 +177,7 @@ def _run_record(config: ExperimentConfig, inst) -> dict:
     out0 = mech(inst, trial_stream(config.seed, 0))
     k = out0.winner_count
     if config.scenario == "budget":
-        bound = ACCURACY_CONST * (n - k)
+        bound = verify_mod.accuracy_level(out0, n)
     else:
         bound = float(config.alpha) * n
     shown = np.clip(estimates, 0.0, n) if config.clamp_estimates else estimates

@@ -17,6 +17,16 @@ import numpy as np
 #: Absolute tolerance for equality comparisons on real quantities.
 TOL = 1e-9
 
+#: The error for a payment or charge that is not finite and >= 0.
+_OVERFLOW = "payments and analyst charge must be finite, payments >= 0 (a cost overflowed)"
+
+
+def _tolerance(reference):
+    """TOL relative to a reference magnitude (elementwise on arrays): above
+    ~1e7 an absolute 1e-9 is below one ulp.  Comparisons against it are
+    written so that NaN reads as a violation."""
+    return TOL * np.maximum(1.0, np.abs(reference))
+
 
 class DomainError(ValueError):
     """An input lies outside the domain of an operation."""
@@ -43,11 +53,10 @@ ALL_FAMILIES = tuple(CostFamily)
 
 
 def _check_nonneg_finite(name: str, x) -> np.ndarray:
+    """`x` as a float array; `DomainError` unless all of it is finite and >= 0."""
     arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    if (arr < 0).any():
-        raise DomainError(f"{name} must be >= 0, got {x!r}")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise DomainError(f"{name} must be finite and >= 0")
     return arr
 
 
@@ -92,15 +101,13 @@ class Population:
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
+        values = _check_nonneg_finite("values", self.values)
         if bits.ndim != 1 or values.ndim != 1 or bits.shape != values.shape:
             raise DomainError("bits and values must be 1-d vectors of equal length")
         if bits.size < 1:
             raise DomainError("population must have n >= 1")
         if not np.all((bits == 0) | (bits == 1)):
             raise DomainError("bits must be 0/1")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise DomainError("values must be finite and >= 0")
         bits.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "bits", bits)
@@ -150,7 +157,7 @@ class PointValues:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        _check_nonneg_finite("points", np.asarray(self.points))
+        _check_nonneg_finite("points", self.points)
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,8 @@ class PopulationSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        if self.seed < 0:
+            raise DomainError("population seed must be >= 0")
         if isinstance(self.values, PointValues) and len(self.values.points) != self.n:
             raise DomainError("point-mass value list length must equal n")
 
@@ -260,7 +269,7 @@ class Allocation:
     1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
     charge[r].  Fails closed: every k must lie in [0, n-1], payments and
     charges must be finite and payments >= 0, and each charge must cover its
-    row's payments.  The arrays are made read-only.
+    row's payments up to `_tolerance`.  The arrays are made read-only.
     """
 
     order: np.ndarray     # (m, n): each row's stable ascending order
@@ -272,15 +281,13 @@ class Allocation:
         order, k, payments, charge = self.order, self.k, self.payments, self.charge
         if ((k < 0) | (k >= order.shape[1])).any():
             raise DomainError("winner counts must lie in [0, n-1]")
-        total = payments.sum(axis=1)
+        with np.errstate(over="ignore"):   # an overflowed sum is rejected next
+            total = payments.sum(axis=1)
         # payments >= 0 whose row sums are finite are finite themselves
         if not ((payments >= 0).all() and np.isfinite(total).all()
                 and np.isfinite(charge).all()):
-            raise DomainError("payments and analyst charge must be finite, payments "
-                              ">= 0 (a cost overflowed)")
-        # relative tolerance: exponential cost families can reach magnitudes
-        # where a 1e-9 absolute slack is below one ulp of the sum
-        if (charge < total - TOL * np.maximum(1.0, total)).any():
+            raise DomainError(_OVERFLOW)
+        if (charge < total - _tolerance(total)).any():
             raise DomainError("analyst charge must cover the payments")
         for arr in (order, k, payments, charge):
             arr.setflags(write=False)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Allocation, CostFamily, DomainError, MechanismOutcome,
-                   Population, _winner_mask, cost_eval)
+from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
+                   MechanismOutcome, Population, _check_nonneg_finite,
+                   _winner_mask, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -31,8 +32,7 @@ class BudgetInstance:
     budget: float
 
     def __post_init__(self):
-        if not math.isfinite(self.budget) or self.budget < 0:
-            raise DomainError("budget must be finite and >= 0")
+        _check_nonneg_finite("budget", self.budget)
 
     @functools.cached_property
     def truthful(self) -> tuple[Allocation, EstimatorPlan]:
@@ -73,17 +73,9 @@ class AccuracyInstance:
         return _truthful(self, _min_cost_rule)
 
 
-def _report_values(values) -> np.ndarray:
-    """Reported values as floats, checked as `Population` checks them."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise DomainError("values must be finite and >= 0")
-    return values
-
-
 def _reports(inst, values) -> np.ndarray:
-    """The (m, n) matrix of reported values, checked by `_report_values`."""
-    values = _report_values(values)
+    """The (m, n) matrix of reported values, each finite and >= 0."""
+    values = _check_nonneg_finite("values", values)
     if values.ndim != 2 or values.shape[1] != inst.pop.n:
         raise DomainError("reports must form an (m, n) matrix, n the population size")
     return values
@@ -175,7 +167,7 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
     k, and one cost of her own give the largest feasible k in O(1) a row.
     """
     model, budget = inst.model, inst.budget
-    reports = _report_values(reports)
+    reports = _check_nonneg_finite("values", reports)
     n, last_k = inst.pop.n, inst.pop.n - 1
     v_sorted, s, p = _positions(inst.pop.values, agents, reports)
     ks = np.arange(n)                  # k = 0 is never feasible
@@ -233,7 +225,9 @@ def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
     order = np.argsort(w, axis=1, kind="stable")
     price = w[np.arange(m), order[:, k]]   # the (k+1)-th lowest unit cost
     payments = np.where(_winner_mask(order, k), price[:, None], 0.0)
-    return Allocation(order, np.full(m, k), payments, k * price)
+    with np.errstate(over="ignore"):   # `Allocation` rejects an inf charge
+        charge = k * price
+    return Allocation(order, np.full(m, k), payments, charge)
 
 
 def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
@@ -246,7 +240,7 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     Fails closed as the rule's `Allocation` does: a row whose charge k *
     price is not finite raises `DomainError`.
     """
-    reports = _report_values(reports)
+    reports = _check_nonneg_finite("values", reports)
     n, k = inst.pop.n, inst.winner_count
     eps = 1.0 / (n - k)
     w = cost_eval(inst.model, inst.pop.values, np.full(n, eps))
@@ -254,9 +248,10 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     w_sorted, s, p = _positions(w, agents, own)
     at = np.where(p < k, k - (k <= s), k + (k >= s))
     price = np.where(p == k, own, w_sorted.take(at, mode="clip"))
-    if not np.isfinite(k * price).all():
-        raise DomainError("payments and analyst charge must be finite, payments "
-                          ">= 0 (a cost overflowed)")
+    with np.errstate(over="ignore"):
+        charge = k * price
+    if not np.isfinite(charge).all():
+        raise DomainError(_OVERFLOW)
     won = p < k
     return np.full(p.size, k), np.where(won, price, 0.0), np.where(won, eps, 0.0), price
 

@@ -14,8 +14,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (Allocation, CostFamily, DomainError, MechanismOutcome,
-                   Population, TOL, cost_eval)
+from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
+                   MechanismOutcome, Population, _check_nonneg_finite,
+                   _tolerance, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
@@ -105,14 +106,6 @@ class MisreportGrid:
 # Per-outcome checks
 # ---------------------------------------------------------------------------
 
-def _tolerance(reference):
-    """TOL relative to a reference magnitude (elementwise on arrays), the rule
-    `Allocation` checks charges with: above ~1e7 an absolute 1e-9 is below
-    one ulp.  Comparisons against it are written so that NaN reads as a
-    violation."""
-    return TOL * np.maximum(1.0, np.abs(reference))
-
-
 def check_individual_rationality(outcome: MechanismOutcome, pop: Population,
                                  model: CostFamily) -> VerificationReport:
     """Each agent's payment must cover her cost at her realized privacy level,
@@ -149,11 +142,8 @@ def check_budget_feasibility(outcome: MechanismOutcome,
                              budget: float) -> VerificationReport:
     """Total payment never exceeds the analyst's budget (exactly, no tolerance)."""
     over = outcome.total_payment - budget
-    violations = []
-    if over > 0:
-        violations.append({"agent": None, "datum": outcome.total_payment,
-                           "delta": float(over)})
-    return VerificationReport("budget_feasibility", violations, tolerance=0.0)
+    return _instance_check("budget_feasibility", over > 0, outcome.total_payment,
+                           float(over), tolerance=0.0)
 
 
 #: Most candidate rows one unilateral sweep call takes, and most report
@@ -201,8 +191,7 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
         a, c = agents[lo:lo + _BLOCK_CELLS], candidates[lo:lo + _BLOCK_CELLS]
         k, pay, eps, price = mechanism.unilateral(instance, a, c)
         if not np.isfinite(price).all():
-            raise DomainError("payments and analyst charge must be finite, payments "
-                              ">= 0 (a cost overflowed)")
+            raise DomainError(_OVERFLOW)
         own = np.arange(lo, lo + a.size) < n
         i = a[own]
         if not ((k[own] == true_k).all() and (eps[own] == true_eps[i]).all()
@@ -278,11 +267,9 @@ def impossibility_bound(values) -> float:
     """Payment that any IR, better-than-n/2-accurate sensitive-value mechanism
     must exceed on every input: ln(4/3) * min value.  Diverges as the lowest
     valuation grows, which is the impossibility."""
-    values = np.asarray(values, dtype=float)
+    values = _check_nonneg_finite("values", values)
     if values.size == 0:
         raise DomainError("impossibility bound needs at least one value")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise DomainError("values must be finite and >= 0")
     return math.log(4.0 / 3.0) * float(values.min())
 
 
@@ -393,7 +380,7 @@ def _pay_your_bid_unilateral(inst: BudgetInstance, agents, reports):
     """`pay_your_bid_control`'s unilateral form: `fair_query`'s, with the
     deviating agent paid her reported cost at her privacy level."""
     k, _, eps, price = fair_query.unilateral(inst, agents, reports)
-    return k, cost_eval(inst.model, np.asarray(reports, dtype=float), eps), eps, price
+    return k, cost_eval(inst.model, reports, eps), eps, price
 
 
 pay_your_bid_control.rule = _pay_your_bid_rule
@@ -404,10 +391,12 @@ pay_your_bid_control.unilateral = _pay_your_bid_unilateral
 # Suites over instance corpora
 # ---------------------------------------------------------------------------
 
-def _instance_check(name: str, failed: bool, datum, delta) -> VerificationReport:
+def _instance_check(name: str, failed: bool, datum, delta,
+                    tolerance: float = TOL) -> VerificationReport:
     """A per-instance property: one violation if the check failed, else none."""
     return VerificationReport(
-        name, [{"agent": None, "datum": datum, "delta": delta}] if failed else [])
+        name, [{"agent": None, "datum": datum, "delta": delta}] if failed else [],
+        tolerance)
 
 
 def check_payment_optimality(outcome: MechanismOutcome, pop: Population,

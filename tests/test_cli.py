@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -226,20 +227,57 @@ def test_sweep_records_overflowing_cost(tmp_path):
     assert "finite" in json.loads(text)["records"][0]["error"]
 
 
-@pytest.mark.parametrize("command, alpha, args, code", [
-    ("verify", 0.9, ["--seed", "1", "--trials", "5"], 0),
-    ("run", 0.1, [], 2),
-    ("verify", 0.1, [], 2),
-], ids=["losers-overflow", "price-overflows-run", "price-overflows-verify"])
-def test_overflowing_cost_raises_no_warning(tmp_path, command, alpha, args, code):
+def _points_config(tmp_path, points, **overrides):
+    # linear costs, n = 3 and alpha' = 1/3, so k = 2: the price is the
+    # largest unit cost and the charge is twice that
+    return write_config(
+        tmp_path, "cfg.json", scenario="accuracy", budget=None,
+        alpha=(0.5 + math.log(3)) / 3, trials=2,
+        population={"n": 3, "values": {"dist": "point", "points": points},
+                    "bits": {"model": "independent", "q": 0.5}, "seed": 0},
+        **overrides)
+
+
+@pytest.mark.parametrize("command, make_config, args, code", [
+    ("verify", functools.partial(_overflow_config, alpha=0.9),
+     ["--seed", "1", "--trials", "5"], 0),
+    ("run", _overflow_config, [], 2),
+    ("verify", _overflow_config, [], 2),
+    ("run", functools.partial(_points_config, points=[1, 1e308, 1.5e308]), [], 2),
+    ("verify", functools.partial(_points_config, points=[1, 1, 6e307]), [], 2),
+], ids=["losers-overflow", "price-overflows-run", "price-overflows-verify",
+        "charge-overflows-run", "misreport-charge-overflows-verify"])
+def test_overflowing_cost_raises_no_warning(tmp_path, capsys, command, make_config,
+                                            args, code):
     # at alpha 0.9 only unit costs of agents who lose overflow, which ranks
-    # them last; at alpha 0.1 the price overflows and the command exits 2
-    cfg = _overflow_config(tmp_path, alpha=alpha,
-                           output={"path": str(tmp_path / "report.json")})
+    # them last; otherwise a price, a charge k * price or a payment sum
+    # overflows and the command exits 2 with one line on stderr
+    cfg = make_config(tmp_path, output={"path": str(tmp_path / "report.json")})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, str(cfg), *args]) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflowed" in err
+
+
+@pytest.mark.parametrize("command, pop_seed, args, prefix", [
+    ("run", -3, [], "config error: "),
+    # verify draws instance i from population seed `seed + i`
+    ("verify", 7, ["--seed", "-1"], "error: "),
+], ids=["run-population-seed", "verify-instance-seed"])
+def test_negative_population_seed_exits_two(tmp_path, capsys, command, pop_seed,
+                                            args, prefix):
+    cfg = write_config(tmp_path, "cfg.json",
+                       population={**BASE_CONFIG["population"], "seed": pop_seed})
+    assert main([command, str(cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "seed must be >= 0" in err
 
 
 # --- sweep ------------------------------------------------------------------

@@ -6,8 +6,11 @@ import pytest
 from privauction.core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
                               DomainError, IndependentBits, MechanismOutcome,
                               PointValues, Population, PopulationSpec,
-                              UniformValues, _winner_mask, cost_eval,
+                              UniformValues, _tolerance, _winner_mask, cost_eval,
                               generate_population)
+from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
+                                    min_cost_auction)
+from privauction.verify import impossibility_bound
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -65,6 +68,31 @@ def test_ordering_independent_of_eps(family):
     for v, vp in pairs[:50]:  # full grid on a subsample keeps runtime sane
         cs = cost_eval(family, v, epss) - cost_eval(family, vp, epss)
         assert np.all(np.sign(cs) == np.sign(v - vp))
+
+
+# --- the one input rule -----------------------------------------------------
+
+POP3 = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
+ADMISSIBILITY_ENTRY_POINTS = {
+    "population-values": lambda bad: Population(bits=[1, 0], values=[1.0, bad]),
+    "fair-query-rule-report": lambda bad: fair_query.rule(
+        BudgetInstance(POP3, CostFamily.LINEAR, 2.0), [[1.0, bad, 3.0]]),
+    "min-cost-unilateral-report": lambda bad: min_cost_auction.unilateral(
+        AccuracyInstance(POP3, CostFamily.LINEAR, 0.9), np.array([0]), np.array([bad])),
+    "cost-eval-v": lambda bad: cost_eval(CostFamily.LINEAR, bad, 0.5),
+    "cost-eval-eps": lambda bad: cost_eval(CostFamily.LINEAR, 1.0, bad),
+    "budget": lambda bad: BudgetInstance(POP3, CostFamily.LINEAR, bad),
+    "impossibility-bound": lambda bad: impossibility_bound([1.0, bad]),
+    "point-values": lambda bad: PointValues((1.0, bad)),
+}
+
+
+@pytest.mark.parametrize("entry", ADMISSIBILITY_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "-1"])
+def test_every_entry_point_gives_the_one_admissibility_error(entry, bad):
+    with pytest.raises(DomainError, match="must be finite and >= 0"):
+        ADMISSIBILITY_ENTRY_POINTS[entry](bad)
 
 
 # --- Population ------------------------------------------------------------
@@ -143,6 +171,14 @@ def one_row(order, k, payments, charge) -> Allocation:
 def test_outcome_charge_must_cover_payments():
     with pytest.raises(DomainError):
         one_row([0, 1, 2], 2, [1.0, 1.0, 0.0], 1.0)
+
+
+def test_allocation_charge_tolerance_is_relative_to_the_payments():
+    # at a total of 2e8 one ulp (~3e-8) exceeds an absolute 1e-9
+    total = 2e8
+    one_row([0, 1, 2], 2, [1e8, 1e8, 0.0], np.nextafter(total, 0.0))
+    with pytest.raises(DomainError, match="cover"):
+        one_row([0, 1, 2], 2, [1e8, 1e8, 0.0], total - 4.0 * _tolerance(total))
 
 
 def test_outcome_losers_have_zero_eps():
