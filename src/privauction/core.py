@@ -100,8 +100,9 @@ class Population:
     values: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int64)
-        values = _check_nonneg_finite("values", self.values)
+        # copies, so that freezing them leaves the caller's arrays writable
+        bits = np.array(self.bits, dtype=np.int64)
+        values = _check_nonneg_finite("values", np.array(self.values, dtype=float))
         if bits.ndim != 1 or values.ndim != 1 or bits.shape != values.shape:
             raise DomainError("bits and values must be 1-d vectors of equal length")
         if bits.size < 1:
@@ -124,7 +125,7 @@ class Population:
 
     def with_values(self, values) -> "Population":
         """Same bits, different reported valuations (one misreported profile)."""
-        return Population(bits=self.bits, values=np.asarray(values, dtype=float))
+        return Population(bits=self.bits, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +304,44 @@ class Allocation:
 def _winner_mask(order: np.ndarray, k) -> np.ndarray:
     """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
     m, n = order.shape
-    ranks = np.empty((m, n), dtype=np.intp)   # each row's inverse permutation
-    ranks[np.arange(m)[:, None], order] = np.arange(n)
-    return ranks < np.reshape(k, (-1, 1))
+    mask = np.empty(m * n, dtype=bool)
+    # one scatter through flat indices, which numpy does faster than through
+    # (row, column) index pairs
+    mask[order + n * np.arange(m)[:, None]] = np.arange(n) < np.reshape(k, (-1, 1))
+    return mask.reshape(m, n)
+
+
+#: Rows shorter than this are ranked by numpy's stable sort (timsort), which
+#: beats `_stable_argsort`'s fixed cost of ~10-15 us there; at 1,400 keys
+#: with heavy ties the two take the same time (2-core AVX-512 VM).  The
+#: test is on the row length, not the input size: the kernel is slower on
+#: many short rows with ties, e.g. a (4096, 16) block.
+_SIMD_SORT_MIN = 1400
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Exactly `np.argsort(keys, axis=-1, kind="stable")`, computed by
+    numpy's default (SIMD) sort on rows of `_SIMD_SORT_MIN` keys or more.
+
+    The default sort ranks the keys right but puts equal keys in any order.
+    If no two adjacent ranked keys are equal, its order is the stable one.
+    Otherwise each run of equal keys (-0.0 with 0.0, NaN with NaN) gets a
+    group number, and sorting the distinct integers group * n + index puts
+    every run in index order.
+    """
+    n = keys.shape[-1]
+    if n < _SIMD_SORT_MIN:
+        return np.argsort(keys, axis=-1, kind="stable")
+    order = np.argsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    before = ranked[..., :-1]
+    # NaNs rank last, so a NaN is followed only by NaNs, its equals here
+    differs = (ranked[..., 1:] != before) & (before == before)
+    if differs.all():
+        return order
+    group = np.zeros(keys.shape, dtype=np.intp)
+    np.cumsum(differs, axis=-1, out=group[..., 1:])
+    return np.sort(group * n + order, axis=-1) % n
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_nonneg_finite,
-                   _winner_mask, cost_eval)
+                   _stable_argsort, _winner_mask, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -105,7 +105,7 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     model, budget = inst.model, inst.budget
     values = _reports(inst, values)
     m, n = values.shape
-    order = np.argsort(values, axis=1, kind="stable")   # ties by index
+    order = _stable_argsort(values)   # ties by index
     v_sorted = values[np.arange(m)[:, None], order]
 
     k = np.zeros(m, dtype=np.intp)
@@ -144,7 +144,7 @@ def _positions(keys: np.ndarray, agents, reports):
     before the report; the agent's own key is then taken out of that count.
     """
     n = keys.size
-    order = np.argsort(keys, kind="stable")
+    order = _stable_argsort(keys)
     ordered = keys[order]
     s = np.empty(n, dtype=np.intp)
     s[order] = np.arange(n)
@@ -222,7 +222,7 @@ def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
     if k >= n:
         raise DomainError("accuracy target unattainable: winner count would reach n")
     w = cost_eval(inst.model, values, np.full(n, 1.0 / (n - k)))
-    order = np.argsort(w, axis=1, kind="stable")
+    order = _stable_argsort(w)
     price = w[np.arange(m), order[:, k]]   # the (k+1)-th lowest unit cost
     payments = np.where(_winner_mask(order, k), price[:, None], 0.0)
     with np.errstate(over="ignore"):   # `Allocation` rejects an inf charge

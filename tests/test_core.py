@@ -121,6 +121,15 @@ def test_population_immutable():
         pop.values[0] = 5.0
 
 
+def test_population_leaves_the_callers_arrays_writable():
+    bits, values = np.array([1, 0], dtype=np.int64), np.array([1.0, 2.0])
+    pop = Population(bits=bits, values=values)
+    assert bits.flags.writeable and values.flags.writeable
+    bits[0], values[0] = 0, 5.0   # the caller reuses its arrays
+    assert pop.bits.tolist() == [1, 0] and pop.values.tolist() == [1.0, 2.0]
+    assert not (pop.bits.flags.writeable or pop.values.flags.writeable)
+
+
 # --- generation ------------------------------------------------------------
 
 def test_point_mass_independent_q1():

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from corpus import random_instances
 from privauction.cli import main
@@ -75,6 +76,22 @@ def _mixed_corpus():
     return [inst for pair in zip(accuracy, budget) for inst in pair]
 
 
+# numpy's SIMD `expm1` differs in the last digit between its AVX-512
+# (X86_V4) and AVX2 (X86_V3) paths, and so do two of the negative control's
+# truthfulness deltas on instance 7 (an `exp_arg` budget instance).  A host
+# without X86_V4 checks the digest its AVX2 paths give instead.
+X86_V3_DIGESTS = {
+    "c4958bc8e0b80307e9469abb329e84c5b0ffbf6a05ec75a245571b89561bacd0":
+        "73e66fe0c77c9ea25081761e1ceca2de875cb0c6c9a5db6417e734f0ebce88dd",
+}
+
+
+def _host_digest(digest):
+    if __cpu_features__.get("X86_V4"):
+        return digest
+    return X86_V3_DIGESTS.get(digest, digest)
+
+
 @pytest.mark.parametrize("negative_control, digest", [
     (False, "1c1ee0d99351fabe7683ba53a2b0095f553279e68761c1e191589f43cb091e5a"),
     (True, "c4958bc8e0b80307e9469abb329e84c5b0ffbf6a05ec75a245571b89561bacd0"),
@@ -82,4 +99,4 @@ def _mixed_corpus():
 def test_run_suite_reports_pinned(negative_control, digest):
     reports = run_suite(_mixed_corpus(), negative_control=negative_control)
     body = json.dumps([r.to_dict() for r in reports])   # no sort_keys: order is pinned
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert hashlib.sha256(body.encode()).hexdigest() == _host_digest(digest)
