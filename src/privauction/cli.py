@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .core import (CorrelatedBits, CostFamily, DomainError, IndependentBits,
-                   PopulationSpec, generate_population)
+                   PopulationSpec, _check_integer, generate_population)
 from .dp import trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
@@ -47,6 +48,11 @@ FIELD_TYPES = {"population": (dict, "an object"), "output": (dict, "an object"),
 def _has_type(value, kind) -> bool:
     """isinstance, except that true and false are never numbers."""
     return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def _non_finite(value) -> bool:
+    """Whether a number is an inf or NaN float (a JSON 1e400, Infinity or NaN)."""
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 @dataclass
@@ -80,9 +86,11 @@ class ExperimentConfig:
             values = self.sweep.get("values")
             if param not in SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+            # the report echoes every swept value, and JSON holds no inf or NaN
             if not (isinstance(values, list) and values
-                    and all(_has_type(v, (int, float)) for v in values)):
-                raise ConfigError("sweep values must be a non-empty list of numbers")
+                    and all(_has_type(v, (int, float)) and not _non_finite(v)
+                            for v in values)):
+                raise ConfigError("sweep values must be a non-empty list of finite numbers")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(f"output path must be a string, got {self.output_path!r}")
 
@@ -214,9 +222,9 @@ def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
     if param == "alpha":
         return dataclasses.replace(config, alpha=float(value), sweep=None)
     if param == "seed":
-        return dataclasses.replace(config, seed=int(value), sweep=None)
+        return dataclasses.replace(config, seed=_check_integer("seed", value), sweep=None)
     if param == "n":
-        pop = dataclasses.replace(config.population, n=int(value))
+        pop = dataclasses.replace(config.population, n=value)
         return dataclasses.replace(config, population=pop, sweep=None)
     if param == "q":
         pop = dataclasses.replace(config.population, bits=IndependentBits(q=float(value)))

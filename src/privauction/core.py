@@ -8,7 +8,9 @@ given explicit seeds.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -53,11 +55,28 @@ ALL_FAMILIES = tuple(CostFamily)
 
 
 def _check_nonneg_finite(name: str, x) -> np.ndarray:
-    """`x` as a float array; `DomainError` unless all of it is finite and >= 0."""
+    """`x` as a float array; `DomainError` unless all of it is finite and >= 0.
+
+    NaN propagates through both reductions, so `min >= 0 and max < inf`
+    rejects exactly NaN, +-inf and negatives; an empty array passes.
+    """
+    if type(x) is float:
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0")
+        return np.asarray(x)
     arr = np.asarray(x, dtype=float)
-    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
+                         and np.maximum.reduce(arr, axis=None) < math.inf):
         raise DomainError(f"{name} must be finite and >= 0")
     return arr
+
+
+def _check_integer(name: str, x):
+    """`x` unchanged; `DomainError` unless it is an integer (not a bool, and
+    not an integral float, string or NaN)."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return x
 
 
 def cost_eval(family: CostFamily, v, eps):
@@ -193,9 +212,9 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
+        if _check_integer("n", self.n) < 1:
             raise DomainError("n must be >= 1")
-        if self.seed < 0:
+        if _check_integer("population seed", self.seed) < 0:
             raise DomainError("population seed must be >= 0")
         if isinstance(self.values, PointValues) and len(self.values.points) != self.n:
             raise DomainError("point-mass value list length must equal n")
@@ -234,7 +253,7 @@ class PopulationSpec:
                 bits = CorrelatedBits(threshold=float(bd["threshold"]))
             else:
                 raise DomainError(f"unknown bit model {model!r}")
-            return cls(n=int(d["n"]), values=values, bits=bits, seed=int(d.get("seed", 0)))
+            return cls(n=d["n"], values=values, bits=bits, seed=d.get("seed", 0))
         except KeyError as exc:
             raise DomainError(f"population spec missing field {exc}") from exc
         except TypeError as exc:   # e.g. a list where an object belongs
@@ -293,12 +312,15 @@ class Allocation:
         for arr in (order, k, payments, charge):
             arr.setflags(write=False)
 
-    @property
+    @functools.cached_property
     def epsilons(self) -> np.ndarray:
-        """(m, n) privacy levels: 1/(n - k) for each row's winners, 0 otherwise."""
+        """(m, n) privacy levels: 1/(n - k) for each row's winners, 0
+        otherwise; built on first read, kept and read-only."""
         n = self.order.shape[1]
-        return np.where(_winner_mask(self.order, self.k),
-                        (1.0 / (n - self.k))[:, None], 0.0)
+        eps = np.where(_winner_mask(self.order, self.k),
+                       (1.0 / (n - self.k))[:, None], 0.0)
+        eps.setflags(write=False)
+        return eps
 
 
 def _winner_mask(order: np.ndarray, k) -> np.ndarray:

@@ -74,18 +74,21 @@ class MisreportGrid:
     delta: Optional[float] = None   # default: 1e-6 * max value
     multipliers: Sequence[float] = (0.5, 0.9, 1.1, 2.0)
 
-    def candidates(self, values: np.ndarray):
-        """(agents, candidates): every agent's grid, ascending and without
-        repeats, concatenated agent-major.
+    def candidates(self, values: np.ndarray, cells: int):
+        """Every agent's grid, ascending and without repeats, block by block:
+        yields (lo, hi, agents, candidates) for agents lo to hi - 1, their
+        grids concatenated agent-major.  A block holds at most `cells`
+        candidates unless one agent's grid alone is larger, so memory is
+        O(cells + n), not O(n^2).
 
-        Built in one pass over the union of all grids: a pivot is in agent
-        i's grid unless every copy of it is one of her own three, and her
-        multiples are added back.
+        The union of all grids is built once: a pivot is in agent i's grid
+        unless every copy of it is one of her own three, and her multiples
+        are added back.
         """
         delta = self.delta
         if delta is None:
             delta = 1e-6 * max(float(values.max()), 1.0)
-        n, rows = values.size, np.arange(values.size)
+        n = values.size
         pivots = np.concatenate([[0.0], values, values + delta,
                                  np.maximum(values - delta, 0.0)])
         multiples = values[:, None] * np.asarray(self.multipliers, dtype=float)
@@ -93,13 +96,23 @@ class MisreportGrid:
         at = np.searchsorted(columns, pivots)
         count = np.bincount(at, minlength=columns.size)
         own = at[1:].reshape(3, n)       # the zero pivot is nobody's own
-        keep = np.tile(count > 0, (n, 1))
-        for col in own:
-            keep[rows, col] = count[col] > (own == col).sum(axis=0)
-        keep[rows[:, None], np.searchsorted(columns, multiples)] = True
-        keep &= columns >= 0
-        agents, at = np.nonzero(keep)
-        return agents, columns[at]
+        nonneg = columns >= 0
+        shared = (count > 0) & nonneg
+        # whether another agent's copy keeps each of her own three
+        own_kept = (count[own] > (own[:, None, :] == own).sum(axis=1)) & nonneg[own]
+        multiples_at = np.searchsorted(columns, multiples)
+        multiples_kept = nonneg[multiples_at]
+        # an agent's grid is at most the shared pivots and her multiples
+        per_block = max(1, cells // (np.count_nonzero(shared) + multiples.shape[1]))
+        for lo in range(0, n, per_block):
+            hi = min(lo + per_block, n)
+            rows = np.arange(hi - lo)
+            keep = np.repeat(shared[None, :], rows.size, axis=0)
+            keep[rows, own[:, lo:hi]] = own_kept[:, lo:hi]
+            keep[rows[:, None], multiples_at[lo:hi]] = multiples_kept[lo:hi]
+            agents, at = np.nonzero(keep)
+            agents += lo
+            yield lo, hi, agents, columns[at]
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +125,11 @@ def check_individual_rationality(outcome: MechanismOutcome, pop: Population,
     up to `_tolerance` of the payment; a NaN slack is a violation."""
     costs = cost_eval(model, pop.values, outcome.epsilons)
     slack = outcome.payments - costs
+    agents = np.flatnonzero(~(slack >= -_tolerance(outcome.payments)))
     violations = [
-        {"agent": int(i), "datum": float(pop.values[i]), "delta": float(slack[i])}
-        for i in np.flatnonzero(~(slack >= -_tolerance(outcome.payments)))
+        {"agent": i, "datum": v, "delta": d}
+        for i, v, d in zip(agents.tolist(), pop.values[agents].tolist(),
+                           slack[agents].tolist())
     ]
     return VerificationReport("individual_rationality", violations)
 
@@ -131,10 +146,9 @@ def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
     own = np.diag(utility)
     envy = utility - own[:, None]
     tol = _tolerance(np.maximum.outer(payments, payments))
-    violations = []
-    for i, j in zip(*np.nonzero(~(envy <= tol))):
-        violations.append({"agent": int(i), "datum": {"envies": int(j)},
-                           "delta": float(envy[i, j])})
+    i, j = np.nonzero(~(envy <= tol))
+    violations = [{"agent": a, "datum": {"envies": b}, "delta": d}
+                  for a, b, d in zip(i.tolist(), j.tolist(), envy[i, j].tolist())]
     return VerificationReport("envy_freeness", violations)
 
 
@@ -146,8 +160,9 @@ def check_budget_feasibility(outcome: MechanismOutcome,
                            float(over), tolerance=0.0)
 
 
-#: Most candidate rows one unilateral sweep call takes, and most report
-#: cells (rows x n) one allocation-rule call takes, unless one row is larger.
+#: Most grid candidates one unilateral sweep call takes, besides one
+#: own-value row per agent, and most report cells (rows x n) one
+#: allocation-rule call takes, unless one agent's grid or one row is larger.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -157,15 +172,17 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
 
     Payments and privacy levels are deterministic, so the comparison is exact
     and needs no expectation over noise.  The mechanism runs once on the
-    truthful reports.  Each grid candidate then goes through the mechanism's
-    unilateral form, `mechanism.unilateral`, a pivot sweep over the
-    deviating agent's rank that costs O(1) a candidate (Archer & Tardos,
-    FOCS'01).  Its payments are upper bounds: `fair_query`'s budget nudge,
-    which only lowers a price, is left out.  Only the candidates whose bound
-    beats the truthful utility by more than `TOL` go through the allocation
-    rule, `mechanism.rule`, as rows of report matrices of at most
-    `_BLOCK_CELLS` cells, and their exact utilities decide.  Violations are
-    listed by agent, then by ascending candidate.
+    truthful reports.  The grid is built block by block of agents
+    (`MisreportGrid.candidates`), each block led by its agents' own values,
+    and each block goes through the mechanism's unilateral form,
+    `mechanism.unilateral`, a pivot sweep over the deviating agent's rank
+    that costs O(1) a candidate (Archer & Tardos, FOCS'01), so memory stays
+    O(`_BLOCK_CELLS` + n).  Its payments are upper bounds: `fair_query`'s
+    budget nudge, which only lowers a price, is left out.  Only the
+    candidates whose bound beats the truthful utility by more than `TOL` go
+    through the allocation rule, `mechanism.rule`, as rows of report
+    matrices of at most `_BLOCK_CELLS` cells, and their exact utilities
+    decide.  Violations are listed by agent, then by ascending candidate.
 
     Fails closed with `DomainError`: on a non-finite report or price in any
     row, as the rule's `Allocation` does; when the sweep at each agent's own
@@ -176,38 +193,42 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
     grid = grid or MisreportGrid()
     pop, model = instance.pop, instance.model
     values = pop.values
-    n = values.size
     rng = np.random.default_rng(0)  # noise does not affect payments or eps
     truthful = mechanism(instance, rng)
     true_k, true_pay, true_eps = (truthful.winner_count, truthful.payments,
                                   truthful.epsilons)
     true_util = true_pay - cost_eval(model, values, true_eps)
-    agents, candidates = grid.candidates(values)
-    # each agent's own value leads: there the sweep must reproduce the run
-    agents = np.concatenate([np.arange(n), agents])
-    candidates = np.concatenate([values, candidates])
-    doubtful, bounds = [], []
-    for lo in range(0, candidates.size, _BLOCK_CELLS):
-        a, c = agents[lo:lo + _BLOCK_CELLS], candidates[lo:lo + _BLOCK_CELLS]
+    violations = []
+    for lo, hi, agents, candidates in grid.candidates(values, _BLOCK_CELLS):
+        # the block's own values lead: there the sweep must reproduce the run
+        a = np.concatenate([np.arange(lo, hi), agents])
+        c = np.concatenate([values[lo:hi], candidates])
         k, pay, eps, price = mechanism.unilateral(instance, a, c)
         if not np.isfinite(price).all():
             raise DomainError(_OVERFLOW)
-        own = np.arange(lo, lo + a.size) < n
-        i = a[own]
-        if not ((k[own] == true_k).all() and (eps[own] == true_eps[i]).all()
-                and (pay[own] >= true_pay[i]).all()):
+        m = hi - lo
+        if not ((k[:m] == true_k).all() and (eps[:m] == true_eps[lo:hi]).all()
+                and (pay[:m] >= true_pay[lo:hi]).all()):
             raise DomainError("the unilateral form does not reproduce the truthful run")
         bound = pay - cost_eval(model, values[a], eps)
-        rows = np.flatnonzero(~(bound <= true_util[a] + TOL) & ~own)
-        doubtful.append(lo + rows)
-        bounds.append(bound[rows])
-    doubtful, bounds = np.concatenate(doubtful), np.concatenate(bounds)
+        rows = m + np.flatnonzero(~(bound[m:] <= true_util[agents] + TOL))
+        violations += _rule_violations(mechanism, instance, true_util,
+                                       a[rows], c[rows], bound[rows])
+    return VerificationReport("truthfulness", violations)
 
+
+def _rule_violations(mechanism: Mechanism, instance: Instance, true_util,
+                     agents, candidates, bounds) -> List[dict]:
+    """The truthfulness violations among the candidate rows in which agent
+    agents[j] alone reports candidates[j], by the exact utilities of
+    `mechanism.rule`, run on report matrices of at most `_BLOCK_CELLS` cells;
+    `DomainError` if it pays a row more than its bound, bounds[j]."""
+    values, model = instance.pop.values, instance.model
+    step = max(1, _BLOCK_CELLS // values.size)
     violations = []
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, doubtful.size, step):
-        picked = doubtful[lo:lo + step]
-        a, c, rows = agents[picked], candidates[picked], np.arange(picked.size)
+    for lo in range(0, agents.size, step):
+        a, c = agents[lo:lo + step], candidates[lo:lo + step]
+        rows = np.arange(a.size)
         reports = np.tile(values, (rows.size, 1))
         reports[rows, a] = c
         alloc = mechanism.rule(instance, reports)
@@ -216,11 +237,11 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
         if not (util <= bounds[lo:lo + step]).all():
             raise DomainError("the allocation rule pays a misreport more than "
                               "the unilateral form's bound")
-        for j in np.flatnonzero(util > true_util[a] + TOL):
-            i = int(a[j])
-            violations.append({"agent": i, "datum": float(c[j]),
-                               "delta": float(util[j] - true_util[i])})
-    return VerificationReport("truthfulness", violations)
+        won = np.flatnonzero(util > true_util[a] + TOL)
+        gain = util[won] - true_util[a[won]]
+        violations += [{"agent": i, "datum": v, "delta": d} for i, v, d in
+                       zip(a[won].tolist(), c[won].tolist(), gain.tolist())]
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +305,11 @@ def oracle_max_winners_envy_free(pop: Population, model: CostFamily,
     price for the k cheapest sellers is the k-th cheapest seller's cost."""
     n = pop.n
     v_sorted = np.sort(pop.values, kind="stable")
-    best = 0
-    for k in range(1, n):
-        price = cost_eval(model, v_sorted[k - 1], 1.0 / (n - k))
-        if k * price <= budget:
-            best = k
-    return best
+    ks = np.arange(1, n)
+    prices = cost_eval(model, v_sorted[:-1], 1.0 / (n - ks))
+    with np.errstate(over="ignore"):   # an overflowed total fails the budget
+        affordable = ks * prices <= budget
+    return int(ks[affordable].max(initial=0))
 
 
 def oracle_min_payment_k_units(pop: Population, model: CostFamily, k: int) -> float:

@@ -280,6 +280,57 @@ def test_negative_population_seed_exits_two(tmp_path, capsys, command, pop_seed,
     assert "seed must be >= 0" in err
 
 
+def write_literal(tmp_path, raw, literal):
+    """`raw` as a config file, its string "@" replaced by `literal` verbatim
+    (e.g. 1e400, Infinity or NaN, which json.dumps does not write)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"@"', literal))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("field, literal", [
+    ("n", "2.5"), ("n", "true"), ("n", '"10"'), ("n", "4.0"), ("n", "1e400"),
+    ("n", "Infinity"), ("seed", "2.7"), ("seed", "1e400"), ("seed", "NaN"),
+    ("seed", "false"),
+])
+def test_integer_population_field_is_a_config_error(tmp_path, capsys, command, field,
+                                                     literal):
+    # these once ran as n = int(value) (2.5 as 2, true as 1, "10" as 10) or
+    # exited 1 with an OverflowError or ValueError traceback
+    cfg = write_literal(tmp_path, _mistyped(population={**BASE_CONFIG["population"],
+                                                        field: "@"}), literal)
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("param, value", [("n", 2.5), ("n", 4.0), ("seed", 2.7)])
+def test_sweep_records_a_non_integer_value(tmp_path, param, value):
+    # as a rejected q or n = 0 is, a swept n or seed that is not an integer
+    # is that row's error, echoed as given
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       sweep={"parameter": param, "values": [4, value]})
+    assert main(["sweep", str(cfg)]) == 0
+    good, bad = read_report(out)["records"]
+    assert good["error"] == "" and good["swept_value"] == 4
+    assert bad == {"swept_value": value, "error": f"{param} must be an integer, got {value}"}
+
+
+@pytest.mark.parametrize("param", ["n", "seed", "budget"])
+@pytest.mark.parametrize("literal", ["1e400", "-Infinity", "NaN"])
+def test_non_finite_swept_value_is_a_config_error(tmp_path, capsys, param, literal):
+    # the report echoes every swept value, which JSON cannot hold; these
+    # once exited 1 with a traceback
+    cfg = write_literal(tmp_path, _mistyped(sweep={"parameter": param,
+                                                   "values": [4, "@"]}), literal)
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sweep values must be a non-empty list of finite numbers\n"
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_budget_monotone_k(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,18 @@ def test_outcome_losers_have_zero_eps():
     assert (out.winner_count, out.noise_scale) == (2, 2.0)
     assert out.epsilons.tolist() == [0.5, 0.0, 0.5, 0.0]   # losers exactly 0
     assert (out.analyst_charge, out.total_payment) == (2.0, 2.0)
+
+
+def test_allocation_epsilons_are_kept_and_read_only():
+    alloc = one_row([2, 0, 1, 3], 2, [1.0, 0.0, 1.0, 0.0], 2.0)
+    eps = alloc.epsilons
+    assert alloc.epsilons is eps   # built once, on the first read
+    assert MechanismOutcome(0.0, alloc).epsilons.base is eps
+    with pytest.raises(ValueError, match="read-only"):
+        eps[0, 1] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alloc.epsilons = np.zeros((1, 4))
+    assert eps.tolist() == [[0.5, 0.0, 0.5, 0.0]]
 
 
 @pytest.mark.parametrize("k", [3, -1])

@@ -2,6 +2,10 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import privauction
 from corpus import random_instances
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
                               DomainError, MechanismOutcome, Population, TOL,
@@ -150,7 +155,7 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
 
 def grid_for(grid, values, i):
     """Oracle: agent i's misreport grid by its definition, the candidates
-    `MisreportGrid.candidates` builds for all agents in one pass."""
+    `MisreportGrid.candidates` builds for a block of agents in one pass."""
     delta = grid.delta
     if delta is None:
         delta = 1e-6 * max(float(values.max()), 1.0)
@@ -274,6 +279,66 @@ def test_truthfulness_equals_batched_reference(n, count):
     assert reports == [batched_check_truthfulness(mech, inst) for mech, inst in cases]
 
 
+@pytest.mark.parametrize("cells", [7, 17, 150])
+def test_truthfulness_is_the_same_across_block_boundaries(monkeypatch, cells):
+    # at n = 16, 7 and n + 1 cells put one agent in each grid block and one
+    # row in each rule call; 150 puts two agents in a block and 9 rows in a
+    # rule call
+    cases = block_corpus(16, seed=33, count=2)
+    assert {mech for mech, _ in cases} == {fair_query, min_cost_auction,
+                                           pay_your_bid_control}
+    monkeypatch.setattr(verify_mod, "_BLOCK_CELLS", cells)
+    assert len(list(MisreportGrid().candidates(cases[0][1].pop.values, cells))) > 1
+    reports = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
+    assert any(not rep["pass"] for rep in reports)   # the negative control
+    assert reports == [batched_check_truthfulness(mech, inst) for mech, inst in cases]
+
+
+@pytest.mark.parametrize("mechanism", [fair_query, min_cost_auction, pay_your_bid_control],
+                         ids=["fair_query", "min_cost_auction", "pay_your_bid_control"])
+def test_truthfulness_at_n_16_makes_one_unilateral_call(mechanism):
+    calls = []
+
+    def unilateral(inst, agents, reports):
+        calls.append(agents.size)
+        return mechanism.unilateral(inst, agents, reports)
+
+    mech = with_forms(mechanism, mechanism.rule, unilateral)
+    kind = "accuracy" if mechanism is min_cost_auction else "budget"
+    inst = random_instances(1, seed=27, n_lo=16, n_hi=16, kind=kind)[0]
+    assert check_truthfulness(mech, inst).to_dict() == check_truthfulness(
+        mechanism, inst).to_dict()
+    assert len(calls) == 1 and calls[0] > 16   # the own values, then the grid
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_truthfulness_memory_is_bounded_at_n_2000():
+    # one fair_query check in a fresh process: the grid is built per block
+    # of agents, so its peak stays O(n); all at once it took ~400 MB.  The
+    # child reads its own peak, VmHWM: its ru_maxrss would also count this
+    # process's resident set, which a child started by vfork inherits.
+    script = """
+import re
+import numpy as np
+from privauction.core import CostFamily, Population
+from privauction.mechanisms import BudgetInstance, fair_query
+from privauction.verify import check_truthfulness
+n = 2000
+rng = np.random.default_rng(0)
+pop = Population(bits=rng.integers(0, 2, n), values=rng.uniform(0.0, 10.0, n))
+inst = BudgetInstance(pop=pop, model=CostFamily.EXP_SCALED, budget=2.0 * n)
+assert check_truthfulness(fair_query, inst).passed
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(privauction.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb < 100.0
+
+
 def recording(mechanism):
     """A functools.wraps wrapper of `mechanism` whose rule records the row
     count of every report matrix it is given."""
@@ -333,11 +398,27 @@ def test_truthfulness_raises_when_rule_and_unilateral_disagree(mech):
 def test_grid_candidates_equal_per_agent_definition(grid):
     for inst in random_instances(20, seed=26, n_lo=1, kind="budget"):
         for values in (inst.pop.values, np.floor(inst.pop.values), np.zeros(inst.pop.n)):
-            agents, cands = grid.candidates(values)
             grids = [grid_for(grid, values, i) for i in range(values.size)]
-            assert np.array_equal(agents, np.repeat(np.arange(values.size),
-                                                    [g.size for g in grids]))
-            assert np.array_equal(cands, np.concatenate(grids))
+            # one block, one agent per block, and blocks of a few agents
+            for cells in (1 << 16, 1, 3 * values.size):
+                agents, cands = all_candidates(grid, values, cells)
+                assert np.array_equal(agents, np.repeat(np.arange(values.size),
+                                                        [g.size for g in grids]))
+                assert np.array_equal(cands, np.concatenate(grids))
+
+
+def all_candidates(grid, values, cells):
+    """Every block of `grid.candidates(values, cells)` concatenated, after
+    checking that the blocks cover the agents in order, each block's agents
+    lie in its range, and no block of two or more agents exceeds `cells`."""
+    blocks = list(grid.candidates(values, cells))
+    assert [lo for lo, *_ in blocks] == [0] + [hi for _, hi, *_ in blocks[:-1]]
+    assert blocks[-1][1] == values.size
+    for lo, hi, agents, cands in blocks:
+        assert ((lo <= agents) & (agents < hi)).all()
+        assert hi - lo == 1 or cands.size <= cells
+    return (np.concatenate([agents for *_, agents, _ in blocks]),
+            np.concatenate([cands for *_, cands in blocks]))
 
 
 def test_truthfulness_fails_closed_on_a_misreport_overflow():
@@ -363,7 +444,7 @@ def test_pay_your_bid_control_is_manipulable():
 def test_grid_candidates_cover_pivots():
     grid = MisreportGrid()
     values = np.array([1.0, 2.0, 4.0])
-    agents, cands = grid.candidates(values)
+    agents, cands = all_candidates(grid, values, 1 << 16)
     cands = cands[agents == 0]
     assert 0.0 in cands and 2.0 in cands and 4.0 in cands
     assert np.all(cands >= 0)
