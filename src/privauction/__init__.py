@@ -17,8 +17,8 @@ from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, lap_sample,
                  trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
-from .verify import (MisreportGrid, VerificationReport,
-                     check_envy_freeness, check_individual_rationality,
+from .verify import (VerificationReport, check_envy_freeness,
+                     check_individual_rationality,
                      check_necessity, check_truthfulness, estimate_accuracy,
                      impossibility_bound, oracle_max_winners_envy_free,
                      oracle_min_payment_k_units, payment_lower_bound)

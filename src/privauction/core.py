@@ -79,6 +79,17 @@ def _check_integer(name: str, x):
     return x
 
 
+def _check_real(name: str, x) -> float:
+    """`x` as a float; `DomainError` unless it is a number (not a bool or a
+    string) that a float holds."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:   # an integer beyond 1.8e308
+            pass
+    raise DomainError(f"{name} must be a number that a float holds, got {x!r}")
+
+
 def cost_eval(family: CostFamily, v, eps):
     """Privacy cost c(v, eps) of an agent with parameter v at privacy level eps.
 
@@ -141,10 +152,6 @@ class Population:
     def total(self) -> int:
         """The population statistic s = sum of private bits."""
         return int(self.bits.sum())
-
-    def with_values(self, values) -> "Population":
-        """Same bits, different reported valuations (one misreported profile)."""
-        return Population(bits=self.bits, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +245,22 @@ class PopulationSpec:
             vd = d["values"]
             dist = vd["dist"]
             if dist == "uniform":
-                values = UniformValues(lo=float(vd["lo"]), hi=float(vd["hi"]))
+                values = UniformValues(lo=_check_real("lo", vd["lo"]),
+                                       hi=_check_real("hi", vd["hi"]))
             elif dist == "lognormal":
-                values = LogNormalValues(mu=float(vd["mu"]), sigma=float(vd["sigma"]))
+                values = LogNormalValues(mu=_check_real("mu", vd["mu"]),
+                                         sigma=_check_real("sigma", vd["sigma"]))
             elif dist == "point":
-                values = PointValues(points=tuple(vd["points"]))
+                values = PointValues(points=tuple(_check_real("points", p)
+                                                  for p in vd["points"]))
             else:
                 raise DomainError(f"unknown value distribution {dist!r}")
             bd = d["bits"]
             model = bd["model"]
             if model == "independent":
-                bits = IndependentBits(q=float(bd["q"]))
+                bits = IndependentBits(q=_check_real("q", bd["q"]))
             elif model == "value_correlated":
-                bits = CorrelatedBits(threshold=float(bd["threshold"]))
+                bits = CorrelatedBits(threshold=_check_real("threshold", bd["threshold"]))
             else:
                 raise DomainError(f"unknown bit model {model!r}")
             return cls(n=d["n"], values=values, bits=bits, seed=d.get("seed", 0))
@@ -261,14 +271,20 @@ class PopulationSpec:
 
 
 def generate_population(spec: PopulationSpec) -> Population:
-    """Draw a Population from the spec. Deterministic given the seed."""
+    """Draw a Population from the spec. Deterministic given the seed.
+
+    `DomainError` if numpy cannot draw it: an n too large for an array, or a
+    uniform range wider than a float holds."""
     rng = np.random.default_rng(spec.seed)
-    if isinstance(spec.values, UniformValues):
-        values = rng.uniform(spec.values.lo, spec.values.hi, size=spec.n)
-    elif isinstance(spec.values, LogNormalValues):
-        values = rng.lognormal(spec.values.mu, spec.values.sigma, size=spec.n)
-    else:
-        values = np.asarray(spec.values.points, dtype=float)
+    try:
+        if isinstance(spec.values, UniformValues):
+            values = rng.uniform(spec.values.lo, spec.values.hi, size=spec.n)
+        elif isinstance(spec.values, LogNormalValues):
+            values = rng.lognormal(spec.values.mu, spec.values.sigma, size=spec.n)
+        else:
+            values = np.asarray(spec.values.points, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"cannot draw the population: {exc}") from exc
     if isinstance(spec.bits, IndependentBits):
         bits = (rng.random(spec.n) < spec.bits.q).astype(np.int64)
     else:

@@ -62,13 +62,6 @@ def lap_density(scale: float, x):
     return np.exp(-np.abs(x) / scale) / (2.0 * scale)
 
 
-def lap_cdf(scale: float, x):
-    """Exact CDF of the zero-mean Laplace distribution."""
-    scale = _check_scale(scale)
-    x = np.asarray(x, dtype=float)
-    return np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
-
-
 def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
     """Worst-case output-density ratio between two noisy-sum runs whose
     deterministic parts differ by |shift|: exp(|shift| / noise_scale)."""
@@ -115,13 +108,6 @@ class EstimatorPlan:
     @property
     def offset(self) -> float:
         return self.noise_scale / 2.0
-
-    @property
-    def epsilons(self) -> np.ndarray:
-        """Privacy levels: 1/noise_scale for winners, 0 otherwise."""
-        epsilons = np.zeros(self.n)
-        epsilons[self.winners] = 1.0 / self.noise_scale
-        return epsilons
 
 
 def _noiseless_sum(pop: Population, plan: EstimatorPlan) -> float:

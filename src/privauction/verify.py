@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Union
 
 import numpy as np
 
@@ -54,12 +54,19 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Misreport grids
+# The misreport grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MisreportGrid:
-    """Candidate misreports for each agent.
+#: Each agent's grid holds her own value times each of these.
+_MULTIPLIERS = (0.5, 0.9, 1.1, 2.0)
+
+
+def _misreport_blocks(values: np.ndarray, cells: int):
+    """Every agent's candidate misreports, ascending and without repeats,
+    block by block: yields (lo, hi, agents, candidates) for agents lo to
+    hi - 1, their grids concatenated agent-major.  A block holds at most
+    `cells` candidates unless one agent's grid alone is larger, so memory is
+    O(cells + n), not O(n^2).
 
     Between two adjacent pivots (the other agents' values) an agent's report
     keeps its rank among the others.  `min_cost_auction`'s outcome depends on
@@ -67,52 +74,38 @@ class MisreportGrid:
     whether the agent's own cost fits under the budget at her rank, which
     moves with the report but monotonically within an interval, so each
     interval's ends decide it.  Agent i's grid is every other agent's value,
-    those values nudged by +-delta (clipped at 0), zero, and her own value
-    times each multiplier; it therefore witnesses any profitable deviation.
+    those values nudged by +-delta = 1e-6 * max(max value, 1) (clipped at 0),
+    zero, and her own value times each of `_MULTIPLIERS`; it therefore
+    witnesses any profitable deviation.  Every candidate is >= 0.
+
+    The union of all grids is built once: a pivot is in agent i's grid
+    unless every copy of it is one of her own three, and her multiples are
+    added back.
     """
-
-    delta: Optional[float] = None   # default: 1e-6 * max value
-    multipliers: Sequence[float] = (0.5, 0.9, 1.1, 2.0)
-
-    def candidates(self, values: np.ndarray, cells: int):
-        """Every agent's grid, ascending and without repeats, block by block:
-        yields (lo, hi, agents, candidates) for agents lo to hi - 1, their
-        grids concatenated agent-major.  A block holds at most `cells`
-        candidates unless one agent's grid alone is larger, so memory is
-        O(cells + n), not O(n^2).
-
-        The union of all grids is built once: a pivot is in agent i's grid
-        unless every copy of it is one of her own three, and her multiples
-        are added back.
-        """
-        delta = self.delta
-        if delta is None:
-            delta = 1e-6 * max(float(values.max()), 1.0)
-        n = values.size
-        pivots = np.concatenate([[0.0], values, values + delta,
-                                 np.maximum(values - delta, 0.0)])
-        multiples = values[:, None] * np.asarray(self.multipliers, dtype=float)
-        columns = np.unique(np.concatenate([pivots, multiples.ravel()]))
-        at = np.searchsorted(columns, pivots)
-        count = np.bincount(at, minlength=columns.size)
-        own = at[1:].reshape(3, n)       # the zero pivot is nobody's own
-        nonneg = columns >= 0
-        shared = (count > 0) & nonneg
-        # whether another agent's copy keeps each of her own three
-        own_kept = (count[own] > (own[:, None, :] == own).sum(axis=1)) & nonneg[own]
-        multiples_at = np.searchsorted(columns, multiples)
-        multiples_kept = nonneg[multiples_at]
-        # an agent's grid is at most the shared pivots and her multiples
-        per_block = max(1, cells // (np.count_nonzero(shared) + multiples.shape[1]))
-        for lo in range(0, n, per_block):
-            hi = min(lo + per_block, n)
-            rows = np.arange(hi - lo)
-            keep = np.repeat(shared[None, :], rows.size, axis=0)
-            keep[rows, own[:, lo:hi]] = own_kept[:, lo:hi]
-            keep[rows[:, None], multiples_at[lo:hi]] = multiples_kept[lo:hi]
-            agents, at = np.nonzero(keep)
-            agents += lo
-            yield lo, hi, agents, columns[at]
+    delta = 1e-6 * max(float(values.max()), 1.0)
+    n = values.size
+    pivots = np.concatenate([[0.0], values, values + delta,
+                             np.maximum(values - delta, 0.0)])
+    multiples = values[:, None] * np.asarray(_MULTIPLIERS)
+    columns = np.unique(np.concatenate([pivots, multiples.ravel()]))
+    at = np.searchsorted(columns, pivots)
+    count = np.bincount(at, minlength=columns.size)
+    own = at[1:].reshape(3, n)       # the zero pivot is nobody's own
+    shared = count > 0
+    # whether another agent's copy keeps each of her own three
+    own_kept = count[own] > (own[:, None, :] == own).sum(axis=1)
+    multiples_at = np.searchsorted(columns, multiples)
+    # an agent's grid is at most the shared pivots and her multiples
+    per_block = max(1, cells // (np.count_nonzero(shared) + len(_MULTIPLIERS)))
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        rows = np.arange(hi - lo)
+        keep = np.repeat(shared[None, :], rows.size, axis=0)
+        keep[rows, own[:, lo:hi]] = own_kept[:, lo:hi]
+        keep[rows[:, None], multiples_at[lo:hi]] = True
+        agents, at = np.nonzero(keep)
+        agents += lo
+        yield lo, hi, agents, columns[at]
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +159,13 @@ def check_budget_feasibility(outcome: MechanismOutcome,
 _BLOCK_CELLS = 1 << 16
 
 
-def check_truthfulness(mechanism: Mechanism, instance: Instance,
-                       grid: Optional[MisreportGrid] = None) -> VerificationReport:
+def check_truthfulness(mechanism: Mechanism, instance: Instance) -> VerificationReport:
     """No agent can raise her utility by any grid misreport.
 
     Payments and privacy levels are deterministic, so the comparison is exact
     and needs no expectation over noise.  The mechanism runs once on the
     truthful reports.  The grid is built block by block of agents
-    (`MisreportGrid.candidates`), each block led by its agents' own values,
+    (`_misreport_blocks`), each block led by its agents' own values,
     and each block goes through the mechanism's unilateral form,
     `mechanism.unilateral`, a pivot sweep over the deviating agent's rank
     that costs O(1) a candidate (Archer & Tardos, FOCS'01), so memory stays
@@ -190,7 +182,6 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
     pays less than the truthful run; and when the rule pays a candidate more
     than the sweep's bound, since the bound then decides nothing.
     """
-    grid = grid or MisreportGrid()
     pop, model = instance.pop, instance.model
     values = pop.values
     rng = np.random.default_rng(0)  # noise does not affect payments or eps
@@ -199,7 +190,7 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance,
                                   truthful.epsilons)
     true_util = true_pay - cost_eval(model, values, true_eps)
     violations = []
-    for lo, hi, agents, candidates in grid.candidates(values, _BLOCK_CELLS):
+    for lo, hi, agents, candidates in _misreport_blocks(values, _BLOCK_CELLS):
         # the block's own values lead: there the sweep must reproduce the run
         a = np.concatenate([np.arange(lo, hi), agents])
         c = np.concatenate([values[lo:hi], candidates])
@@ -250,13 +241,16 @@ def _rule_violations(mechanism: Mechanism, instance: Instance, true_util,
 
 def check_necessity(epsilons, alpha: float) -> bool:
     """Necessary condition for alpha*n/4-accuracy: at least (1-alpha)n agents
-    carry a privacy level of at least 1/(alpha*n)."""
+    carry a privacy level of at least 1/(alpha*n), each up to `_tolerance`;
+    a NaN level does not count."""
     epsilons = np.asarray(epsilons, dtype=float)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     n = epsilons.size
-    enough = np.count_nonzero(epsilons >= 1.0 / (alpha * n) - 1e-12)
-    return enough >= (1.0 - alpha) * n - TOL
+    level = 1.0 / (alpha * n)
+    enough = np.count_nonzero(epsilons >= level - _tolerance(level))
+    need = (1.0 - alpha) * n
+    return bool(enough >= need - _tolerance(need))
 
 
 def matched_alpha(outcome: MechanismOutcome, n: int) -> float:
@@ -347,16 +341,14 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
     return int(np.count_nonzero(np.abs(estimates - pop.total) >= error_bound)) / trials
 
 
-def check_estimator_privacy(noise_scale: float, shift: float = 1.0,
-                            grid_points: int = 10_000,
-                            span_scales: float = 20.0) -> VerificationReport:
+def check_estimator_privacy(noise_scale: float) -> VerificationReport:
     """Analytic DP check: the pointwise ratio of the two output densities of
-    the noisy-sum estimator under a one-bit winner flip never exceeds
-    exp(|shift|/noise_scale), checked on a grid spanning +-span_scales sigma."""
-    bound = privacy_ratio_bound(noise_scale, shift)
-    xs = np.linspace(-span_scales * noise_scale, span_scales * noise_scale,
-                     grid_points)
-    ratio = lap_density(noise_scale, xs) / lap_density(noise_scale, xs - shift)
+    the noisy-sum estimator under a one-bit winner flip, a shift of 1, never
+    exceeds exp(1/noise_scale), checked on 10,000 points spanning +-20
+    scales."""
+    bound = privacy_ratio_bound(noise_scale, 1.0)
+    xs = np.linspace(-20.0 * noise_scale, 20.0 * noise_scale, 10_000)
+    ratio = lap_density(noise_scale, xs) / lap_density(noise_scale, xs - 1.0)
     worst = float(np.max(np.maximum(ratio, 1.0 / ratio)))
     violations = []
     if worst > bound + TOL:

@@ -7,6 +7,11 @@ from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import AccuracyInstance, BudgetInstance
 
 
+def with_values(pop: Population, values) -> Population:
+    """Same bits, different reported valuations (one misreported profile)."""
+    return Population(bits=pop.bits, values=values)
+
+
 def random_instances(count: int, seed: int, n_lo: int = 2, n_hi: int = 16,
                      kind: str = "budget") -> list:
     """Seeded corpus of random instances cycling through all cost families."""

@@ -306,6 +306,64 @@ def test_integer_population_field_is_a_config_error(tmp_path, capsys, command, f
     assert "must be an integer" in err
 
 
+REAL_FIELD_POPULATIONS = {
+    "lo": {"values": {"dist": "uniform", "lo": "@", "hi": 10}},
+    "hi": {"values": {"dist": "uniform", "lo": 0, "hi": "@"}},
+    "mu": {"values": {"dist": "lognormal", "mu": "@", "sigma": 1}},
+    "sigma": {"values": {"dist": "lognormal", "mu": 0, "sigma": "@"}},
+    "points": {"values": {"dist": "point", "points": [1.0, "@", 4.0, 8.0]}},
+    "q": {"bits": {"model": "independent", "q": "@"}},
+    "threshold": {"bits": {"model": "value_correlated", "threshold": "@"}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("field", sorted(REAL_FIELD_POPULATIONS))
+@pytest.mark.parametrize("literal", ['"0.5"', "true", "null", "[1]", "1" + "0" * 400],
+                         ids=["string", "bool", "null", "list", "int-beyond-float"])
+def test_real_population_field_is_a_config_error(tmp_path, capsys, command, field,
+                                                 literal):
+    # a string or bool once ran as float(value) ("0.5" as 0.5, true as 1.0)
+    population = {**BASE_CONFIG["population"], **REAL_FIELD_POPULATIONS[field]}
+    cfg = write_literal(tmp_path, _mistyped(population=population), literal)
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{field} must be a number" in err
+
+
+# sizes and ranges numpy refuses before it allocates anything
+UNDRAWABLE = {
+    "n-beyond-intp": {"n": 10 ** 20, "values": {"dist": "uniform", "lo": 0, "hi": 10}},
+    "n-too-big": {"n": 2 ** 62, "values": {"dist": "lognormal", "mu": 0, "sigma": 1}},
+    "range-overflows": {"n": 4, "values": {"dist": "uniform", "lo": -1e308, "hi": 1e308}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("case", sorted(UNDRAWABLE))
+def test_population_numpy_cannot_draw_exits_two(tmp_path, capsys, command, case):
+    # these once exited 1 with a ValueError or OverflowError traceback
+    cfg = write_config(tmp_path, "cfg.json",
+                       population={**BASE_CONFIG["population"], **UNDRAWABLE[case]})
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw the population: ") and err.count("\n") == 1
+
+
+def test_sweep_records_an_undrawable_n(tmp_path):
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       population={**BASE_CONFIG["population"],
+                                   "values": {"dist": "uniform", "lo": 0, "hi": 10}},
+                       sweep={"parameter": "n", "values": [4, 10 ** 20]})
+    assert main(["sweep", str(cfg)]) == 0
+    good, bad = read_report(out)["records"]
+    assert good["error"] == ""
+    assert bad["swept_value"] == 10 ** 20
+    assert bad["error"].startswith("cannot draw the population: ")
+
+
 @pytest.mark.parametrize("param, value", [("n", 2.5), ("n", 4.0), ("seed", 2.7)])
 def test_sweep_records_a_non_integer_value(tmp_path, param, value):
     # as a rejected q or n = 0 is, a swept n or seed that is not an integer

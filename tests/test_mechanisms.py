@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from corpus import with_values
 from privauction import mechanisms
 from privauction.core import (ALL_FAMILIES, CostFamily, DomainError,
                               IndependentBits, LogNormalValues, Population,
@@ -113,7 +114,7 @@ def test_fair_query_winner_monotone():
         for i in sorted(out.winners):
             lowered = inst.pop.values.copy()
             lowered[i] = lowered[i] / 2.0
-            out2 = fair_query(BudgetInstance(pop=inst.pop.with_values(lowered),
+            out2 = fair_query(BudgetInstance(pop=with_values(inst.pop, lowered),
                                              model=inst.model, budget=inst.budget),
                               RNG())
             assert i in out2.winners

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import with_values
 from privauction.core import ALL_FAMILIES, CostFamily, DomainError, Population
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
@@ -41,7 +42,7 @@ def budget_instances(n):
 def assert_rows_match(mechanism, inst, values):
     alloc = mechanism.rule(inst, values)
     for r, row in enumerate(values):
-        out = mechanism(dataclasses.replace(inst, pop=inst.pop.with_values(row)), RNG())
+        out = mechanism(dataclasses.replace(inst, pop=with_values(inst.pop, row)), RNG())
         k = int(alloc.k[r])
         assert frozenset(alloc.order[r, :k].tolist()) == out.winners
         assert alloc.payments[r].tobytes() == out.payments.tobytes()

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import privauction
-from corpus import random_instances
+from corpus import random_instances, with_values
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
                               DomainError, MechanismOutcome, Population, TOL,
                               cost_eval)
@@ -22,7 +22,7 @@ from privauction.dp import ACCURACY_CONST
 from privauction import verify as verify_mod
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
-from privauction.verify import (MisreportGrid, check_envy_freeness,
+from privauction.verify import (_misreport_blocks, check_envy_freeness,
                                 check_estimator_privacy,
                                 check_individual_rationality, check_necessity,
                                 check_payment_optimality,
@@ -144,7 +144,7 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
         for v_prime in rng.uniform(0.0, hi, size=samples):
             reported = pop.values.copy()
             reported[i] = v_prime
-            out = mechanism(dataclasses.replace(inst, pop=pop.with_values(reported)),
+            out = mechanism(dataclasses.replace(inst, pop=with_values(pop, reported)),
                             RNG())
             util = out.payments[i] - cost_eval(inst.model, pop.values[i],
                                                out.epsilons[i])
@@ -153,37 +153,34 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
     return False
 
 
-def grid_for(grid, values, i):
+def grid_for(values, i):
     """Oracle: agent i's misreport grid by its definition, the candidates
-    `MisreportGrid.candidates` builds for a block of agents in one pass."""
-    delta = grid.delta
-    if delta is None:
-        delta = 1e-6 * max(float(values.max()), 1.0)
+    `_misreport_blocks` builds for a block of agents in one pass."""
+    delta = 1e-6 * max(float(values.max()), 1.0)
     others = np.delete(values, i)
     cands = np.concatenate([
         [0.0],
         others,
         others + delta,
         np.maximum(others - delta, 0.0),
-        values[i] * np.asarray(grid.multipliers),
+        values[i] * np.array([0.5, 0.9, 1.1, 2.0]),
     ])
-    return np.unique(cands[cands >= 0])
+    return np.unique(cands)
 
 
-def reference_check_truthfulness(mechanism, inst, grid=None):
+def reference_check_truthfulness(mechanism, inst):
     """Oracle: the per-misreport loop, one full mechanism run per grid
     candidate, that `check_truthfulness` batches through the allocation rule."""
-    grid = grid or MisreportGrid()
     pop = inst.pop
     rng = RNG()
     truthful = mechanism(inst, rng)
     true_util = truthful.payments - cost_eval(inst.model, pop.values, truthful.epsilons)
     violations = []
     for i in range(pop.n):
-        for v_prime in grid_for(grid, pop.values, i):
+        for v_prime in grid_for(pop.values, i):
             reported = pop.values.copy()
             reported[i] = v_prime
-            out = mechanism(dataclasses.replace(inst, pop=pop.with_values(reported)), rng)
+            out = mechanism(dataclasses.replace(inst, pop=with_values(pop, reported)), rng)
             util = out.payments[i] - cost_eval(inst.model, pop.values[i], out.epsilons[i])
             if util > true_util[i] + TOL:
                 violations.append({"agent": int(i), "datum": float(v_prime),
@@ -213,13 +210,13 @@ def batched_check_truthfulness(mechanism, inst, block_cells=1 << 16):
     agents' grids stacked into report matrices of at most `block_cells`
     cells (at least one agent each), which `check_truthfulness` replaces by
     a unilateral sweep."""
-    grid, pop, model = MisreportGrid(), inst.pop, inst.model
+    pop, model = inst.pop, inst.model
     values, n = pop.values, pop.n
     truthful = mechanism(inst, RNG())
     true_util = truthful.payments - cost_eval(model, values, truthful.epsilons)
     blocks, agents, cands = [], [], []
     for i in range(n):
-        c = grid_for(grid, values, i)
+        c = grid_for(values, i)
         if cands and (sum(map(len, cands)) + c.size) * n > block_cells:
             blocks.append((np.concatenate(agents), np.concatenate(cands)))
             agents, cands = [], []
@@ -252,7 +249,7 @@ def block_corpus(n, seed, count=4):
                         ("accuracy", (min_cost_auction,))):
         for inst in random_instances(count, seed, n_lo=n, n_hi=n, kind=kind):
             variants = [inst, dataclasses.replace(
-                inst, pop=inst.pop.with_values(np.floor(inst.pop.values)))]
+                inst, pop=with_values(inst.pop, np.floor(inst.pop.values)))]
             if kind == "budget":
                 variants.append(dataclasses.replace(inst, budget=0.0))
                 variants.append(dataclasses.replace(inst, budget=binding_budget(inst)))
@@ -288,7 +285,7 @@ def test_truthfulness_is_the_same_across_block_boundaries(monkeypatch, cells):
     assert {mech for mech, _ in cases} == {fair_query, min_cost_auction,
                                            pay_your_bid_control}
     monkeypatch.setattr(verify_mod, "_BLOCK_CELLS", cells)
-    assert len(list(MisreportGrid().candidates(cases[0][1].pop.values, cells))) > 1
+    assert len(list(_misreport_blocks(cases[0][1].pop.values, cells))) > 1
     reports = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
     assert any(not rep["pass"] for rep in reports)   # the negative control
     assert reports == [batched_check_truthfulness(mech, inst) for mech, inst in cases]
@@ -392,26 +389,30 @@ def test_truthfulness_raises_when_rule_and_unilateral_disagree(mech):
                 check_truthfulness(mech, inst)
 
 
-@pytest.mark.parametrize("grid", [MisreportGrid(), MisreportGrid(delta=0.5),
-                                  MisreportGrid(delta=0.0, multipliers=(1.0, 3.0)),
-                                  MisreportGrid(delta=-0.25, multipliers=(-1.0, 0.5))])
-def test_grid_candidates_equal_per_agent_definition(grid):
+def test_grid_candidates_equal_per_agent_definition():
+    # -0.0, subnormals and all-zero sets: the grid is built from values >= 0
+    # and a delta > 0, so it never holds a negative candidate to drop
     for inst in random_instances(20, seed=26, n_lo=1, kind="budget"):
-        for values in (inst.pop.values, np.floor(inst.pop.values), np.zeros(inst.pop.n)):
-            grids = [grid_for(grid, values, i) for i in range(values.size)]
+        n = inst.pop.n
+        for values in (inst.pop.values, np.floor(inst.pop.values), np.zeros(n),
+                       np.full(n, -0.0), np.where(np.arange(n) % 2, -0.0, 0.0),
+                       np.full(n, 5e-324), inst.pop.values * 1e-310,
+                       np.where(inst.pop.values < 5.0, -0.0, inst.pop.values)):
+            grids = [grid_for(values, i) for i in range(values.size)]
             # one block, one agent per block, and blocks of a few agents
             for cells in (1 << 16, 1, 3 * values.size):
-                agents, cands = all_candidates(grid, values, cells)
+                agents, cands = all_candidates(values, cells)
                 assert np.array_equal(agents, np.repeat(np.arange(values.size),
                                                         [g.size for g in grids]))
                 assert np.array_equal(cands, np.concatenate(grids))
+                assert (cands >= 0).all()
 
 
-def all_candidates(grid, values, cells):
-    """Every block of `grid.candidates(values, cells)` concatenated, after
+def all_candidates(values, cells):
+    """Every block of `_misreport_blocks(values, cells)` concatenated, after
     checking that the blocks cover the agents in order, each block's agents
     lie in its range, and no block of two or more agents exceeds `cells`."""
-    blocks = list(grid.candidates(values, cells))
+    blocks = list(_misreport_blocks(values, cells))
     assert [lo for lo, *_ in blocks] == [0] + [hi for _, hi, *_ in blocks[:-1]]
     assert blocks[-1][1] == values.size
     for lo, hi, agents, cands in blocks:
@@ -442,9 +443,8 @@ def test_pay_your_bid_control_is_manipulable():
 
 
 def test_grid_candidates_cover_pivots():
-    grid = MisreportGrid()
     values = np.array([1.0, 2.0, 4.0])
-    agents, cands = all_candidates(grid, values, 1 << 16)
+    agents, cands = all_candidates(values, 1 << 16)
     cands = cands[agents == 0]
     assert 0.0 in cands and 2.0 in cands and 4.0 in cands
     assert np.all(cands >= 0)
@@ -574,6 +574,27 @@ def test_necessity_boundary():
     assert check_necessity(eps, alpha)
     eps[need - 1] = 0.0
     assert not check_necessity(eps, alpha)
+    assert not check_necessity(np.full(n, np.nan), alpha)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_necessity_tolerance_per_family(family, data):
+    # at its matched alpha = (n - k)/n an outcome has k = ceil((1 - alpha) n)
+    # winners at level 1/(alpha n), both up to rounding: it meets the
+    # condition, also one ulp short, and fails it with one winner fewer
+    inst, out = data.draw(extreme_outcomes(family, data.draw(KINDS)))
+    n, k = inst.pop.n, out.winner_count
+    assume(0 < k < n)
+    alpha = matched_alpha(out, n)
+    assert check_necessity(out.epsilons, alpha)
+    i = min(out.winners)
+    for level, meets in ((np.nextafter(out.epsilons[i], 0.0), True), (0.0, False),
+                         (np.nan, False)):
+        eps = out.epsilons.copy()
+        eps[i] = level
+        assert check_necessity(eps, alpha) is meets
 
 
 def test_mechanism_outcomes_pass_necessity():
