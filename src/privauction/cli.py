@@ -97,13 +97,17 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        # bytes that are not UTF-8, an integer of more than 4300 digits, or
+        # arrays nested deeper than the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod
@@ -258,11 +262,15 @@ def _emit_csv(report: dict, stream) -> None:
 
 
 def _write_report(report: dict, config: ExperimentConfig) -> None:
-    if config.output_path:
+    if not config.output_path:
+        _emit(report, config, sys.stdout)
+        return
+    try:
         with open(config.output_path, "w", newline="") as fh:
             _emit(report, config, fh)
-    else:
-        _emit(report, config, sys.stdout)
+    except OSError as exc:
+        raise DomainError(
+            f"cannot write report {config.output_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ which trials run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,53 +75,46 @@ def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorPlan:
-    """Which agents' bits the noisy sum uses, and how it is noised.
+    """The noisy sum over a population's winners, all but its noise.
 
-    The estimate is sum of winners' bits + offset + Laplace(noise_scale),
-    with noise_scale = n - |winners| and offset = noise_scale / 2.  With no
-    winners it is n/2 + Laplace(n).  `winners` may be given as any iterable
-    of agent indices and is stored as a read-only index array.
+    The estimate is `noiseless` + Laplace(noise_scale), where noiseless =
+    the winners' bit sum + offset, noise_scale = n - |winners| and offset =
+    noise_scale / 2, each computed here once.  With no winners it is n/2 +
+    Laplace(n).  `winners` may be given as any iterable of agent indices and
+    is stored as a read-only index array.
     """
 
-    n: int
+    pop: Population = field(repr=False)
     winners: np.ndarray
+    noise_scale: float = field(init=False)
+    offset: float = field(init=False)
+    noiseless: float = field(init=False)
 
     def __post_init__(self):
-        winners = self.winners
+        n, winners = self.pop.n, self.winners
         idx = np.array(winners if isinstance(winners, np.ndarray) else list(winners),
                        dtype=np.intp)
-        if idx.size > self.n - 1:
+        if idx.size > n - 1:
             raise DomainError("estimator plan needs |winners| <= n-1")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise DomainError("winner indices out of range")
-        seen = np.zeros(self.n, dtype=bool)
+        seen = np.zeros(n, dtype=bool)
         seen[idx] = True
         if np.count_nonzero(seen) != idx.size:
             raise DomainError("winner indices must be distinct")
         idx.setflags(write=False)
-        object.__setattr__(self, "winners", idx)
-
-    @property
-    def noise_scale(self) -> float:
-        return float(self.n - self.winners.size)
-
-    @property
-    def offset(self) -> float:
-        return self.noise_scale / 2.0
+        noise_scale = float(n - idx.size)
+        offset = noise_scale / 2.0
+        for name, value in (("winners", idx), ("noise_scale", noise_scale),
+                            ("offset", offset),
+                            ("noiseless", float(self.pop.bits[idx].sum()) + offset)):
+            object.__setattr__(self, name, value)
 
 
-def _noiseless_sum(pop: Population, plan: EstimatorPlan) -> float:
-    """The estimate's deterministic part: winners' bit sum + offset."""
-    if plan.n != pop.n:
-        raise DomainError("plan size does not match population")
-    return float(pop.bits[plan.winners].sum()) + plan.offset
-
-
-def laplace_estimator(pop: Population, plan: EstimatorPlan,
-                      rng: np.random.Generator) -> float:
+def laplace_estimator(plan: EstimatorPlan, rng: np.random.Generator) -> float:
     """Noisy sum over the plan's winner set: winners' bit sum + offset +
     Laplace(noise_scale)."""
-    return _noiseless_sum(pop, plan) + lap_sample(plan.noise_scale, rng)
+    return plan.noiseless + lap_sample(plan.noise_scale, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +150,7 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def trial_estimates(pop: Population, plan: EstimatorPlan, seed: int,
-                    trials: int) -> np.ndarray:
+def trial_estimates(plan: EstimatorPlan, seed: int, trials: int) -> np.ndarray:
     """The plan's estimate in each of trials 0..trials-1, trial t drawn from
     `trial_stream(seed, t)`.
 
@@ -166,6 +158,6 @@ def trial_estimates(pop: Population, plan: EstimatorPlan, seed: int,
     that stream returns the same estimate; callers allocate once and draw
     only the noise per trial.
     """
-    t0, scale = _noiseless_sum(pop, plan), plan.noise_scale
-    return np.array([t0 + lap_sample(scale, trial_stream(seed, t))
+    noiseless, scale = plan.noiseless, plan.noise_scale
+    return np.array([noiseless + lap_sample(scale, trial_stream(seed, t))
                      for t in range(trials)])

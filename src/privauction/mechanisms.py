@@ -90,14 +90,14 @@ def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
     stale.  A rule that raises keeps nothing and raises again on every call.
     """
     alloc = rule(inst, inst.pop.values[None, :])
-    return alloc, EstimatorPlan(inst.pop.n, alloc.order[0, :alloc.k[0]])
+    return alloc, EstimatorPlan(inst.pop, alloc.order[0, :alloc.k[0]])
 
 
 def _outcome(inst, rng: np.random.Generator) -> MechanismOutcome:
     """A mechanism run: the instance's kept allocation and one noisy sum over
     its winners' bits."""
     alloc, plan = inst.truthful
-    return MechanismOutcome(laplace_estimator(inst.pop, plan, rng), alloc)
+    return MechanismOutcome(laplace_estimator(plan, rng), alloc)
 
 
 def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:

@@ -131,17 +131,29 @@ def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
                         model: CostFamily) -> VerificationReport:
     """No agent prefers another agent's (payment, privacy level) bundle, up to
     `_tolerance` of the larger of the two payments; a NaN envy is a
-    violation."""
+    violation.
+
+    Agents holding equal bundles are envied alike, so envy is computed
+    against each distinct bundle, in O(n * bundles) time and memory, and
+    only the rows of agents with a violation are expanded to every envied
+    agent.  Violations are listed by agent, then by envied agent.
+    """
     payments = outcome.payments
-    # cost to agent i of holding agent j's privacy level
-    costs = cost_eval(model, pop.values[:, None], outcome.epsilons[None, :])
-    utility = payments[None, :] - np.atleast_2d(costs)
-    own = np.diag(utility)
-    envy = utility - own[:, None]
-    tol = _tolerance(np.maximum.outer(payments, payments))
-    i, j = np.nonzero(~(envy <= tol))
+    # a bundle as one complex number, which numpy orders by payment, then eps
+    bundle = payments + 1j * outcome.epsilons
+    ranked = np.sort(bundle)
+    distinct = ranked[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
+    held = np.searchsorted(distinct, bundle)   # each agent's bundle
+    # cost to agent i of holding bundle b's privacy level
+    utility = distinct.real - cost_eval(model, pop.values[:, None], distinct.imag[None, :])
+    with np.errstate(invalid="ignore"):   # -inf - -inf: a NaN envy, reported
+        envy = utility - utility[np.arange(held.size), held][:, None]
+    bad = ~(envy <= _tolerance(np.maximum.outer(payments, distinct.real)))
+    rows = np.flatnonzero(bad.any(axis=1))
+    r, j = np.nonzero(bad[rows][:, held])
+    i = rows[r]
     violations = [{"agent": a, "datum": {"envies": b}, "delta": d}
-                  for a, b, d in zip(i.tolist(), j.tolist(), envy[i, j].tolist())]
+                  for a, b, d in zip(i.tolist(), j.tolist(), envy[i, held[j]].tolist())]
     return VerificationReport("envy_freeness", violations)
 
 
@@ -337,7 +349,7 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
         raise DomainError("trials must be >= 1")
     pop = instance.pop
     out = mechanism(instance, trial_stream(seed, 0))
-    estimates = trial_estimates(pop, EstimatorPlan(pop.n, out.winners), seed, trials)
+    estimates = trial_estimates(EstimatorPlan(pop, out.winners), seed, trials)
     return int(np.count_nonzero(np.abs(estimates - pop.total) >= error_bound)) / trials
 
 

@@ -126,6 +126,46 @@ def test_invalid_json_line_anchored(tmp_path, capsys):
     assert ":3:" in err  # line number of the defect
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"budget": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"scenario": "bud\xffget"}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["integer-of-5001-digits", "deeply-nested-array", "not-utf-8"])
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, content, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse config {cfg}: {reason}")
+    assert err.count("\n") == 1
+
+
+def test_config_is_read_as_utf_8(tmp_path):
+    # a non-ASCII key reads the same in an ASCII locale, UTF-8 mode off
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({**BASE_CONFIG, "comment": "caf\u00e9"},
+                               ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "report.json"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(privauction.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "privauction.cli", "run", str(cfg),
+                           "--output", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert read_report(out)["records"][0]["k"] == 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command, target, reason):
+    cfg = write_config(tmp_path, "cfg.json", trials=2)
+    path = tmp_path / target
+    assert main([command, str(cfg), "--output", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv", [["audit", "config.json"], ["verify"], []],
                          ids=["unknown-command", "missing-config", "no-arguments"])
 def test_usage_errors_exit_two(argv, capsys):

@@ -7,7 +7,8 @@ from scipy import stats
 
 from privauction.core import DomainError, Population
 from privauction.dp import (LN3, EstimatorPlan, lap_density, lap_sample,
-                            laplace_estimator, privacy_ratio_bound, trial_stream)
+                            laplace_estimator, privacy_ratio_bound, trial_estimates,
+                            trial_stream)
 
 
 def lap_cdf(scale: float, x):
@@ -88,9 +89,9 @@ def test_ratio_bound_examples():
 
 def test_estimator_deterministic_part():
     pop = Population(bits=np.ones(10, int), values=np.arange(10.0))
-    plan = EstimatorPlan(n=10, winners=frozenset(range(8)))
-    assert (plan.noise_scale, plan.offset) == (2.0, 1.0)
-    estimate = laplace_estimator(pop, plan, np.random.default_rng(0))
+    plan = EstimatorPlan(pop, winners=frozenset(range(8)))
+    assert (plan.noise_scale, plan.offset, plan.noiseless) == (2.0, 1.0, 9.0)
+    estimate = laplace_estimator(plan, np.random.default_rng(0))
     noise = lap_sample(2.0, np.random.default_rng(0))
     assert estimate - noise == pytest.approx(9.0)          # t = 8 + 1
     assert abs(9.0 - pop.total) == 1.0                      # |t - s| = offset
@@ -102,46 +103,76 @@ def test_estimator_ignores_non_winner_bits():
     bits = np.ones(10, int)
     flipped = bits.copy()
     flipped[9] = 0
-    plan = EstimatorPlan(n=10, winners=frozenset(range(8)))
-    e1 = laplace_estimator(Population(bits=bits, values=values), plan,
-                           np.random.default_rng(3))
-    e2 = laplace_estimator(Population(bits=flipped, values=values), plan,
-                           np.random.default_rng(3))
+    plans = [EstimatorPlan(Population(bits=b, values=values), winners=frozenset(range(8)))
+             for b in (bits, flipped)]
+    assert plans[0].noiseless == plans[1].noiseless
+    e1, e2 = (laplace_estimator(plan, np.random.default_rng(3)) for plan in plans)
     assert e1 == e2
 
 
 def test_plan_rejects_full_winner_set():
     with pytest.raises(DomainError):
-        EstimatorPlan(n=5, winners=frozenset(range(5)))
+        EstimatorPlan(Population(bits=np.ones(5, int), values=np.arange(5.0)),
+                      winners=frozenset(range(5)))
 
 
 @pytest.mark.parametrize("winners", [[1, 1], [0, 5], [-1], list(range(5))],
                          ids=["duplicate", "above-n", "negative", "full"])
 def test_plan_rejects_bad_winner_index_arrays(winners):
     with pytest.raises(DomainError):
-        EstimatorPlan(n=5, winners=np.array(winners))
+        EstimatorPlan(Population(bits=np.ones(5, int), values=np.arange(5.0)),
+                      winners=np.array(winners))
 
 
 def test_plan_from_frozenset_or_index_array_is_bit_identical():
     pop = Population(bits=np.random.default_rng(1).integers(0, 2, 50),
                      values=np.arange(50.0))
     winners = [7, 3, 41, 0, 19, 22]
-    from_set = EstimatorPlan(n=50, winners=frozenset(winners))
-    from_array = EstimatorPlan(n=50, winners=np.array(winners))
+    from_set = EstimatorPlan(pop, winners=frozenset(winners))
+    from_array = EstimatorPlan(pop, winners=np.array(winners))
     np.testing.assert_array_equal(np.sort(from_set.winners), np.sort(from_array.winners))
-    a = laplace_estimator(pop, from_set, np.random.default_rng(9))
-    b = laplace_estimator(pop, from_array, np.random.default_rng(9))
+    a = laplace_estimator(from_set, np.random.default_rng(9))
+    b = laplace_estimator(from_array, np.random.default_rng(9))
     assert np.float64(a).tobytes() == np.float64(b).tobytes()
     assert not from_array.winners.flags.writeable
 
 
 def test_empty_plan_is_half_n_plus_laplace_n():
     pop = Population(bits=np.ones(6, int), values=np.arange(6.0))
-    plan = EstimatorPlan(n=6, winners=())
-    assert (plan.noise_scale, plan.offset) == (6.0, 3.0)
+    plan = EstimatorPlan(pop, winners=())
+    assert (plan.noise_scale, plan.offset, plan.noiseless) == (6.0, 3.0, 3.0)
     assert plan.winners.size == 0
-    assert laplace_estimator(pop, plan, np.random.default_rng(5)) == (
+    assert laplace_estimator(plan, np.random.default_rng(5)) == (
         3.0 + lap_sample(6.0, np.random.default_rng(5)))
+
+
+def _random_plan(n: int, seed: int):
+    """A plan over a random population of n with a random winner set."""
+    rng = np.random.default_rng(seed)
+    pop = Population(bits=rng.integers(0, 2, n), values=rng.uniform(0.0, 10.0, n))
+    return pop, EstimatorPlan(pop, rng.permutation(n)[:rng.integers(0, n)])
+
+
+@pytest.mark.parametrize("n", [12, 100, 10_000])
+def test_plan_keeps_the_winners_bit_sum_plus_offset(n):
+    pop, plan = _random_plan(n, n)
+    assert plan.noise_scale == float(n - plan.winners.size)
+    assert plan.offset == plan.noise_scale / 2.0
+    assert plan.noiseless == float(pop.bits[plan.winners].sum()) + plan.offset
+
+
+@pytest.mark.parametrize("n", [12, 100, 10_000])
+def test_estimator_equals_the_per_call_sum_bit_for_bit(n):
+    """Over 1,000 trials, the kept sum plus the noise is what summing the
+    winners' bits on every call, in the same order of additions, gives."""
+    pop, plan = _random_plan(n, n + 1)
+    seed = 20 + n
+    got = np.array([laplace_estimator(plan, trial_stream(seed, t)) for t in range(1000)])
+    scale = float(n - plan.winners.size)
+    want = np.array([float(pop.bits[plan.winners].sum()) + scale / 2.0
+                     + lap_sample(scale, trial_stream(seed, t)) for t in range(1000)])
+    assert got.tobytes() == want.tobytes()
+    assert trial_estimates(plan, seed, 1000).tobytes() == want.tobytes()
 
 
 def test_density_ratio_on_grid():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -118,6 +119,69 @@ def test_nan_costs_are_violations(monkeypatch, check):
     monkeypatch.setattr(verify_mod, "cost_eval",
                         lambda model, v, eps: np.full(np.broadcast(v, eps).shape, np.nan))
     assert not check(out, inst.pop, inst.model).passed
+
+
+def reference_envy_violations(outcome, pop, model):
+    """Envy-freeness over all n x n (agent, envied agent) pairs, the form the
+    per-bundle check must reproduce."""
+    payments = outcome.payments
+    costs = cost_eval(model, pop.values[:, None], outcome.epsilons[None, :])
+    utility = payments[None, :] - costs
+    with np.errstate(invalid="ignore"):
+        envy = utility - np.diag(utility)[:, None]
+    tol = TOL * np.maximum(1.0, np.abs(np.maximum.outer(payments, payments)))
+    i, j = np.nonzero(~(envy <= tol))
+    return [{"agent": a, "datum": {"envies": b}, "delta": d}
+            for a, b, d in zip(i.tolist(), j.tolist(), envy[i, j].tolist())]
+
+
+@st.composite
+def envy_cases(draw):
+    """A hand-built outcome with few distinct payments, so bundles repeat,
+    over values up to magnitudes whose costs overflow (NaN envy)."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n - 1))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e8, 1e300]),
+                           min_size=1, max_size=3))
+    payments = [draw(st.sampled_from(levels)) for _ in range(n)]
+    pop = Population(bits=np.ones(n, int), values=[draw(MAGNITUDE) for _ in range(n)])
+    return hand_built(order, k, payments), pop, draw(st.sampled_from(ALL_FAMILIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=envy_cases())
+def test_envy_equals_the_pairwise_reference(case):
+    out, pop, model = case
+    got = check_envy_freeness(out, pop, model).violations
+    assert repr(got) == repr(reference_envy_violations(out, pop, model))
+
+
+def test_envy_equals_the_pairwise_reference_on_auction_outcomes():
+    for inst in random_instances(200, seed=5, kind="budget"):
+        for mech in (fair_query, pay_your_bid_control):
+            out = mech(inst, RNG())
+            got = check_envy_freeness(out, inst.pop, inst.model).violations
+            assert repr(got) == repr(reference_envy_violations(out, inst.pop, inst.model))
+    for inst in random_instances(100, seed=6, kind="accuracy"):
+        out = min_cost_auction(inst, RNG())
+        assert check_envy_freeness(out, inst.pop, inst.model).passed
+
+
+def test_envy_memory_is_bounded_at_n_4000():
+    # n x bundles, not n x n: four 4000 x 4000 float arrays took ~500 MB
+    n = 4000
+    rng = RNG(0)
+    pop = Population(bits=rng.integers(0, 2, n), values=rng.uniform(0.0, 10.0, n))
+    inst = BudgetInstance(pop=pop, model=CostFamily.EXP_SCALED, budget=2.0 * n)
+    out = fair_query(inst, RNG())
+    tracemalloc.start()
+    try:
+        assert check_envy_freeness(out, inst.pop, inst.model).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # --- truthfulness -----------------------------------------------------------
