@@ -290,13 +290,16 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_verify(config: ExperimentConfig) -> int:
-    instances = []
+def _corpus(config: ExperimentConfig):
+    """verify's instances, drawn one at a time: instance i's population is
+    drawn at seed config seed + i."""
     for i in range(config.trials):
         spec = dataclasses.replace(config.population, seed=config.seed + i)
-        sub = dataclasses.replace(config, population=spec, sweep=None)
-        instances.append(_instance(sub))
-    reports = verify_mod.run_suite(instances,
+        yield _instance(dataclasses.replace(config, population=spec, sweep=None))
+
+
+def cmd_verify(config: ExperimentConfig) -> int:
+    reports = verify_mod.run_suite(_corpus(config),
                                    negative_control=config.negative_control)
     all_pass = all(r.passed for r in reports)
     report = {

@@ -306,6 +306,8 @@ class Allocation:
     charge[r].  Fails closed: every k must lie in [0, n-1], payments and
     charges must be finite and payments >= 0, and each charge must cover its
     row's payments up to `_tolerance`.  The arrays are made read-only.
+    Each row of `order` is trusted, not checked, to be a permutation of the
+    agents: every order comes from `_stable_argsort` or reuses one.
     """
 
     order: np.ndarray     # (m, n): each row's stable ascending order

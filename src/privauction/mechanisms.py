@@ -10,7 +10,6 @@ mechanism call on it draws only the noise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +32,6 @@ class BudgetInstance:
 
     def __post_init__(self):
         _check_nonneg_finite("budget", self.budget)
-
-    @functools.cached_property
-    def truthful(self) -> tuple[Allocation, EstimatorPlan]:
-        """(`fair_query`'s allocation on the truthful reports, its estimator
-        plan), computed on first use and kept."""
-        return _truthful(self, _fair_query_rule)
 
 
 @dataclass(frozen=True)
@@ -66,12 +59,6 @@ class AccuracyInstance:
         """k = ceil((1 - alpha') * n)."""
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
-    @functools.cached_property
-    def truthful(self) -> tuple[Allocation, EstimatorPlan]:
-        """(`min_cost_auction`'s allocation on the truthful reports, its
-        estimator plan), computed on first use and kept."""
-        return _truthful(self, _min_cost_rule)
-
 
 def _reports(inst, values) -> np.ndarray:
     """The (m, n) matrix of reported values, each finite and >= 0."""
@@ -83,20 +70,28 @@ def _reports(inst, values) -> np.ndarray:
 
 def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
     """An instance's allocation by `rule` on its own reports as a one-row
-    matrix, and the estimator plan of that row's winners.
+    matrix and the estimator plan of that row's winners, kept per rule in
+    the instance's `__dict__` under `_allocations`, as a `cached_property`
+    would be, out of reach of equality, hash and repr.
 
     Instances are frozen, their population arrays read-only, and
     `dataclasses.replace` builds a new instance, so the kept result cannot go
     stale.  A rule that raises keeps nothing and raises again on every call.
     """
+    try:
+        return inst.__dict__["_allocations"][rule]
+    except KeyError:
+        pass
     alloc = rule(inst, inst.pop.values[None, :])
-    return alloc, EstimatorPlan(inst.pop, alloc.order[0, :alloc.k[0]])
+    kept = alloc, EstimatorPlan(inst.pop, alloc.order[0, :alloc.k[0]])
+    inst.__dict__.setdefault("_allocations", {})[rule] = kept
+    return kept
 
 
-def _outcome(inst, rng: np.random.Generator) -> MechanismOutcome:
-    """A mechanism run: the instance's kept allocation and one noisy sum over
-    its winners' bits."""
-    alloc, plan = inst.truthful
+def _outcome(inst, rule, rng: np.random.Generator) -> MechanismOutcome:
+    """A mechanism run: the instance's kept allocation by `rule` and one
+    noisy sum over its winners' bits."""
+    alloc, plan = _truthful(inst, rule)
     return MechanismOutcome(laplace_estimator(plan, rng), alloc)
 
 
@@ -209,9 +204,9 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
     at eps = 1/(n-k) is at most budget/k, buys from the k cheapest, and pays
     each winner min(budget/k, cost of the first excluded seller).  The
     allocation is `fair_query.rule`, run on the reports as a one-row matrix
-    once per instance (`BudgetInstance.truthful`).
+    once per instance (`_truthful`).
     """
-    return _outcome(inst, rng)
+    return _outcome(inst, _fair_query_rule, rng)
 
 
 def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
@@ -262,9 +257,9 @@ def min_cost_auction(inst: AccuracyInstance, rng: np.random.Generator) -> Mechan
     With k = ceil((1 - alpha') * n) units to buy, each agent's unit cost is
     w_i = c(v_i, 1/(n-k)); the k cheapest win and are all paid the (k+1)-th
     lowest unit cost.  The allocation is `min_cost_auction.rule`, run on the
-    reports as a one-row matrix once per instance (`AccuracyInstance.truthful`).
+    reports as a one-row matrix once per instance (`_truthful`).
     """
-    return _outcome(inst, rng)
+    return _outcome(inst, _min_cost_rule, rng)
 
 
 # Each auction carries its allocation rule and its unilateral form, so a

@@ -19,8 +19,8 @@ from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    _tolerance, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
-from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
-                         min_cost_auction)
+from .mechanisms import (AccuracyInstance, BudgetInstance, _truthful,
+                         fair_query, min_cost_auction)
 
 Instance = Union[BudgetInstance, AccuracyInstance]
 #: A mechanism run; `check_truthfulness` also reads its allocation rule, the
@@ -372,18 +372,13 @@ def check_estimator_privacy(noise_scale: float) -> VerificationReport:
 # Negative control
 # ---------------------------------------------------------------------------
 
-def _bids(inst: BudgetInstance, values, alloc: Allocation) -> Allocation:
-    """Pay-your-bid repricing of an allocation on an (m, n) matrix of reports:
-    the same winners, each agent paid her reported cost at her privacy level
-    (0 for losers, whose level is 0); the charge is their sum."""
-    payments = cost_eval(inst.model, values, alloc.epsilons)
-    return Allocation(alloc.order, alloc.k, payments, payments.sum(axis=-1))
-
-
 def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:
     """`pay_your_bid_control`'s allocation on each row of an (m, n) matrix of
-    reports: `fair_query`'s winners, repriced by `_bids`."""
-    return _bids(inst, values, fair_query.rule(inst, values))
+    reports: `fair_query`'s winners, each paid her reported cost at her
+    privacy level (0 for losers, whose level is 0); the charge is their sum."""
+    alloc = fair_query.rule(inst, values)
+    payments = cost_eval(inst.model, values, alloc.epsilons)
+    return Allocation(alloc.order, alloc.k, payments, payments.sum(axis=-1))
 
 
 def pay_your_bid_control(inst: BudgetInstance,
@@ -393,11 +388,10 @@ def pay_your_bid_control(inst: BudgetInstance,
     can overreport within the winning range and be paid more.  Used only as a
     negative control for the truthfulness checker.
 
-    Runs `fair_query` and reprices its allocation by `_bids`, as its rule
-    does on matrices of reports."""
-    out = fair_query(inst, rng)
-    return MechanismOutcome(out.estimate,
-                            _bids(inst, inst.pop.values[None, :], out.allocation))
+    Draws `fair_query`'s estimate; the allocation is its rule's, kept per
+    instance as `fair_query`'s is."""
+    estimate = fair_query(inst, rng).estimate
+    return MechanismOutcome(estimate, _truthful(inst, _pay_your_bid_rule)[0])
 
 
 def _pay_your_bid_unilateral(inst: BudgetInstance, agents, reports):

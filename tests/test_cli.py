@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,42 @@ def test_verify_negative_control_exits_one(tmp_path):
     assert main(["verify", str(cfg)]) == 1
     props = {rec["property"]: rec["pass"] for rec in read_report(out)["records"]}
     assert props["truthfulness"] is False
+
+
+def test_verify_keeps_one_corpus_instance_alive(tmp_path, monkeypatch):
+    # the corpus is drawn as the suite checks it, so memory does not grow
+    # with trials x n
+    from privauction import cli, verify
+    made, alive = [], []
+    draw, check = cli._instance, verify.check_truthfulness
+
+    def recorded(config):
+        inst = draw(config)
+        made.append(weakref.ref(inst))
+        return inst
+
+    def counted(mechanism, inst):
+        alive.append(sum(ref() is not None for ref in made))
+        return check(mechanism, inst)
+
+    monkeypatch.setattr(cli, "_instance", recorded)
+    monkeypatch.setattr(verify, "check_truthfulness", counted)
+    cfg = write_config(tmp_path, "cfg.json", trials=4,
+                       output={"path": str(tmp_path / "verify.json")})
+    assert main(["verify", str(cfg)]) == 0
+    assert alive == [1, 1, 1, 1]
+
+
+def test_undrawable_verify_corpus_writes_no_report(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    cfg = write_config(tmp_path, "cfg.json", trials=3, output={"path": str(out)},
+                       population={**BASE_CONFIG["population"],
+                                   **UNDRAWABLE["range-overflows"]})
+    assert main(["verify", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: cannot draw the population: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_payment_optimality_allows_one_ulp(tmp_path):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from corpus import with_values
-from privauction import mechanisms
+from privauction import mechanisms, verify
 from privauction.core import (ALL_FAMILIES, CostFamily, DomainError,
                               IndependentBits, LogNormalValues, Population,
                               PopulationSpec, cost_eval, generate_population)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
+from privauction.verify import pay_your_bid_control
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -231,8 +232,8 @@ def test_kept_allocation_leaves_equality_and_hash_alone():
         before = hash(inst)
         mechanism(inst, RNG())
         assert hash(inst) == before == hash(twin)
-        assert inst == twin and "truthful" in vars(inst) and "truthful" not in vars(twin)
-        assert "truthful" not in repr(inst)
+        assert inst == twin and "_allocations" in vars(inst) and "_allocations" not in vars(twin)
+        assert "_allocations" not in repr(inst)
 
 
 def test_overflowing_rule_raises_on_every_call(cost_evals):
@@ -243,4 +244,36 @@ def test_overflowing_rule_raises_on_every_call(cost_evals):
     for _ in range(2):
         with pytest.raises(DomainError):
             min_cost_auction(inst, RNG())
-    assert len(cost_evals) == 2 and "truthful" not in vars(inst)
+    assert len(cost_evals) == 2 and "_allocations" not in vars(inst)
+
+
+def test_repeated_control_calls_evaluate_its_rule_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cost_eval(*args)
+
+    monkeypatch.setattr(verify, "cost_eval", counted)
+    _, inst = _both_instances()[0]
+    outs = [pay_your_bid_control(inst, RNG(seed)) for seed in range(5)]
+    assert len(calls) == 1
+    assert all(out.allocation is outs[0].allocation for out in outs)
+
+
+def test_fair_query_and_the_control_keep_one_allocation_each():
+    _, inst = _both_instances()[0]
+    fair, control = fair_query(inst, RNG(3)), pay_your_bid_control(inst, RNG(3))
+    assert len(vars(inst)["_allocations"]) == 2
+    assert fair.allocation is not control.allocation
+    assert np.array_equal(fair.winners, control.winners)
+    assert fair.estimate == control.estimate
+    assert not np.array_equal(fair.payments, control.payments)
+
+
+def test_dir_lists_the_kept_allocations():
+    for mechanism, inst in _both_instances():
+        mechanism(inst, RNG())
+        if isinstance(inst, BudgetInstance):
+            pay_your_bid_control(inst, RNG())
+        assert "_allocations" in dir(inst)

@@ -54,6 +54,19 @@ def test_verify_report_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(body).hexdigest() == digest
 
 
+def test_control_run_report_bytes_pinned(tmp_path):
+    # every trial of a control run reuses one repriced allocation; its
+    # report must match the one each trial once repriced afresh
+    out = tmp_path / "run.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": UNIFORM_20, "trials": 200, "seed": 11,
+                               "scenario": "budget", "budget": 30, "cost_family": "linear",
+                               "negative_control": True, "output": {"path": str(out)}}))
+    assert main(["run", str(cfg)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "209e0565fb3dccdbb82e54361d79bf70e91b90e8a5822775e2e2a913b553209e")
+
+
 def test_budget_large_config_has_a_nonvacuous_lower_bound():
     # verify's instance i is the population drawn at seed config seed + i
     bounds = []

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import with_values
-from privauction.core import ALL_FAMILIES, CostFamily, DomainError, Population
+from privauction.core import (ALL_FAMILIES, CostFamily, DomainError, Population,
+                              _winner_mask)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
@@ -71,6 +72,27 @@ def test_accuracy_rule_matches_per_profile_runs(data, stack):
     inst = AccuracyInstance(pop=Population(bits=bits, values=values[0]), model=model,
                             alpha=alpha_scaled * ACCURACY_CONST)
     assert_rows_match(min_cost_auction, inst, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), stack=stacks(n_min=2))
+def test_every_order_row_is_a_permutation(data, stack):
+    # `Allocation` trusts each row of `order` to be a permutation, so
+    # `_winner_mask` marks exactly k[r] agents; -0.0 must tie with 0.0
+    bits, values, model = stack
+    m, n = values.shape
+    signs = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    values[(values == 0.0) & np.reshape(signs, (m, n))] = -0.0
+    pop = Population(bits=bits, values=values[0])
+    budget = BudgetInstance(pop=pop, model=model,
+                            budget=data.draw(budget_instances(n)))
+    alpha_scaled = data.draw(st.floats(1.0 / n + 1e-9, 0.6))
+    accuracy = AccuracyInstance(pop=pop, model=model, alpha=alpha_scaled * ACCURACY_CONST)
+    for mechanism, inst in ((fair_query, budget), (pay_your_bid_control, budget),
+                            (min_cost_auction, accuracy)):
+        alloc = mechanism.rule(inst, values)
+        assert (np.sort(alloc.order, axis=1) == np.arange(n)).all()
+        assert (_winner_mask(alloc.order, alloc.k).sum(axis=1) == alloc.k).all()
 
 
 def test_budget_rule_nudges_only_the_rows_that_overshoot():
