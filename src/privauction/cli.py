@@ -25,7 +25,7 @@ import numpy as np
 from . import verify as verify_mod
 from .core import (CorrelatedBits, CostFamily, DomainError, IndependentBits,
                    PopulationSpec, _check_integer, generate_population)
-from .dp import trial_stream
+from .dp import _trial_streams, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
 
@@ -178,13 +178,14 @@ def _mechanism(config: ExperimentConfig):
 
 
 def _run_record(config: ExperimentConfig, inst) -> dict:
-    """Run the mechanism once per trial, trial t on `trial_stream(seed, t)`;
-    aggregate into one record."""
+    """Run the mechanism once per trial, trial t on `trial_stream(seed, t)`'s
+    stream, handed over as one Generator that `_trial_streams` repositions
+    per trial; aggregate into one record."""
     mech = _mechanism(config)
     n = inst.pop.n
     s = inst.pop.total
-    estimates = np.array([mech(inst, trial_stream(config.seed, t)).estimate
-                          for t in range(config.trials)])
+    estimates = np.array([mech(inst, rng).estimate
+                          for rng in _trial_streams(config.seed, config.trials)])
     # payments and winner sets are deterministic; take them from trial 0
     out0 = mech(inst, trial_stream(config.seed, 0))
     k = out0.winner_count

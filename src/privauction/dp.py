@@ -4,13 +4,15 @@ and analytic privacy calculations.
 Random streams are explicit `numpy.random.Generator` values passed in, never
 global.  Monte Carlo runs derive one stream per trial from (seed, trial) via
 a counter-based bit generator, so results do not depend on the order in
-which trials run.
+which trials run; a run repositions one generator to each trial's counter
+rather than building a generator per trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -150,14 +152,38 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """`trial_stream(seed, t)` for t in 0..trials-1, as one Generator
+    repositioned before each trial.
+
+    Each yielded stream is in exactly `trial_stream(seed, t)`'s state, however
+    many values the previous trial drew, and is valid only until the next one
+    is taken.  Assigning a Philox state copies the counter, the key, the
+    4-word buffer, `buffer_pos` and the kept half word into the bit generator,
+    so only the counter's trial word changes between trials.
+    """
+    rng = trial_stream(seed, 0)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    # plain ints: the setter reads each word by index, cheaper on a list
+    words = state["state"]
+    counter = words["counter"] = words["counter"].tolist()
+    words["key"] = words["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    for t in range(trials):
+        counter[3] = t
+        bitgen.state = state
+        yield rng
+
+
 def trial_estimates(plan: EstimatorPlan, seed: int, trials: int) -> np.ndarray:
     """The plan's estimate in each of trials 0..trials-1, trial t drawn from
-    `trial_stream(seed, t)`.
+    `trial_stream(seed, t)`'s stream, handed over by `_trial_streams`.
 
     Payments and privacy levels are deterministic, so a mechanism run with
     that stream returns the same estimate; callers allocate once and draw
     only the noise per trial.
     """
     noiseless, scale = plan.noiseless, plan.noise_scale
-    return np.array([noiseless + lap_sample(scale, trial_stream(seed, t))
-                     for t in range(trials)])
+    return np.array([noiseless + lap_sample(scale, rng)
+                     for rng in _trial_streams(seed, trials)])

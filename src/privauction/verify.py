@@ -342,8 +342,9 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
     """Empirical Pr[|estimate - s| >= error_bound] over seeded trials.
 
     The mechanism runs once; trial t's estimate is the shared noisy sum over
-    its winners drawn from `trial_stream(seed, t)`, which is what running the
-    mechanism with that stream returns.
+    its winners drawn from `trial_stream(seed, t)`'s stream (`trial_estimates`
+    repositions one Generator per trial), which is what running the mechanism
+    with that stream returns.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")

@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from privauction.core import DomainError, Population
-from privauction.dp import (LN3, EstimatorPlan, lap_density, lap_sample,
-                            laplace_estimator, privacy_ratio_bound, trial_estimates,
-                            trial_stream)
+from privauction.dp import (LN3, EstimatorPlan, _trial_streams, lap_density,
+                            lap_sample, laplace_estimator, privacy_ratio_bound,
+                            trial_estimates, trial_stream)
 
 
 def lap_cdf(scale: float, x):
@@ -204,6 +204,22 @@ def test_trial_stream_equals_philox_keyed_by_the_seed(seed, trial):
         np.testing.assert_array_equal(got.bit_generator.state["state"][word],
                                       ref.bit_generator.state["state"][word])
     assert got.random(8).tobytes() == ref.random(8).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, -1, 2 ** 64 - 1, 123456789])
+@pytest.mark.parametrize("trials", [0, 1, 300])
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_repositioned_streams_equal_per_trial_streams(seed, trials, k):
+    """Each trial reads random(k), an odd count of 32-bit words (which leaves
+    a half word kept) and three normals; the next trial's stream must not see
+    where the last one stopped in Philox's 4-word buffer."""
+    def draws(rng, t):
+        return (rng.random(k).tobytes()
+                + rng.integers(0, 2 ** 32, size=2 * (t % 4) + 1, dtype=np.uint32).tobytes()
+                + rng.standard_normal(3).tobytes())
+
+    got = [draws(rng, t) for t, rng in enumerate(_trial_streams(seed, trials))]
+    assert got == [draws(trial_stream(seed, t), t) for t in range(trials)]
 
 
 def test_trial_stream_rejects_negative():

@@ -2,11 +2,13 @@
 once and draws only the estimate per trial) reproduce, bit for bit, a full
 mechanism run per trial with `trial_stream(seed, t)`."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from privauction import cli, dp
 from privauction.cli import main
 from privauction.core import CostFamily, PopulationSpec, generate_population
 from privauction.dp import trial_stream
@@ -40,24 +42,63 @@ def _reference_estimates(mech, inst):
                      for t in range(TRIALS)])
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_run_matches_full_mechanism_per_trial(tmp_path, name):
-    fields, mech, want_k = CASES[name]
-    inst = _instance(fields)
-    ref = _reference_estimates(mech, inst)
+def _run_record(tmp_path, fields) -> dict:
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text(json.dumps({"population": POPULATION, "cost_family": "linear",
                                "trials": TRIALS, "seed": SEED, **fields}))
     assert main(["run", str(cfg), "--output", str(out)]) == 0
-    record = json.loads(out.read_text())["records"][0]
-    if want_k is not None:
-        assert record["k"] == want_k
+    return json.loads(out.read_text())["records"][0]
+
+
+def _assert_aggregates(record, ref, inst):
     s = inst.pop.total
     errors = ref - s
     assert record["error_rate_at_bound"] == float(
         np.mean(np.abs(ref - s) >= record["accuracy_bound"]))
     assert record["estimate_error_mean"] == float(errors.mean())
     assert record["estimate_error_std"] == float(errors.std())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_full_mechanism_per_trial(tmp_path, name):
+    fields, mech, want_k = CASES[name]
+    inst = _instance(fields)
+    record = _run_record(tmp_path, fields)
+    if want_k is not None:
+        assert record["k"] == want_k
+    _assert_aggregates(record, _reference_estimates(mech, inst), inst)
+
+
+@pytest.mark.parametrize("name", ["budget", "accuracy"])
+def test_run_streams_ignore_what_the_last_trial_drew(tmp_path, monkeypatch, name):
+    """A mechanism that leaves its stream anywhere in Philox's buffer, a
+    different number of draws on each trial, changes no later trial."""
+    fields, mech, _ = CASES[name]
+    calls = itertools.count()
+
+    def wasteful(inst, rng):
+        out = mech(inst, rng)
+        c = next(calls)
+        rng.random(c % 7)
+        rng.integers(0, 2 ** 32, size=c % 3, dtype=np.uint32)
+        return out
+
+    monkeypatch.setattr(cli, "_mechanism", lambda config: wasteful)
+    inst = _instance(fields)
+    _assert_aggregates(_run_record(tmp_path, fields), _reference_estimates(mech, inst), inst)
+
+
+def test_run_builds_at_most_three_streams(tmp_path, monkeypatch):
+    built = []
+
+    def counted(seed, trial):
+        built.append(trial)
+        return trial_stream(seed, trial)
+
+    monkeypatch.setattr(dp, "trial_stream", counted)
+    monkeypatch.setattr(cli, "trial_stream", counted)
+    _run_record(tmp_path, CASES["budget"][0])
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
