@@ -8,18 +8,17 @@ drifting as the unobserved bit rate departs from the estimator's neutral
 offset.
 """
 
-from privauction import (BudgetInstance, CorrelatedBits, CostFamily,
-                         EstimatorPlan, PopulationSpec, UniformValues,
-                         fair_query, generate_population, trial_estimates,
-                         trial_stream)
+from privauction import (BudgetInstance, CostFamily, EstimatorPlan,
+                         PopulationSpec, fair_query, generate_population,
+                         trial_estimates, trial_stream)
 
 N, BUDGET, TRIALS = 40, 1.0, 2000
 
 print(f"n={N}, budget={BUDGET} (buys only a few cheap sellers)")
 print(f"{'threshold':>10} {'true s':>7} {'k':>3} {'mean error':>11}")
 for t in (0.0, 2.5, 5.0, 7.5, 10.0):
-    spec = PopulationSpec(n=N, values=UniformValues(0.0, 10.0),
-                          bits=CorrelatedBits(threshold=t), seed=3)
+    spec = PopulationSpec(n=N, values={"dist": "uniform", "lo": 0.0, "hi": 10.0},
+                          bits={"model": "value_correlated", "threshold": t}, seed=3)
     pop = generate_population(spec)
     inst = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=BUDGET)
     # the allocation is deterministic: run the auction once, then redraw

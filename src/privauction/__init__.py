@@ -8,10 +8,9 @@ a verification harness that mechanically checks their properties
 accuracy, and instance optimality against brute-force oracles).
 """
 
-from .core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
-                   DomainError, IndependentBits, LogNormalValues,
-                   MechanismOutcome, PointValues, Population, PopulationSpec,
-                   UniformValues, cost_eval, generate_population)
+from .core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
+                   MechanismOutcome, Population, PopulationSpec, cost_eval,
+                   generate_population)
 from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, lap_sample,
                  laplace_estimator, privacy_ratio_bound, trial_estimates,
                  trial_stream)

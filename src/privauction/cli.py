@@ -23,8 +23,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .core import (CorrelatedBits, CostFamily, DomainError, IndependentBits,
-                   PopulationSpec, _check_integer, generate_population)
+from .core import (CostFamily, DomainError, PopulationSpec, _check_integer,
+                   _check_real, generate_population)
 from .dp import _trial_streams, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
@@ -37,10 +37,10 @@ class ConfigError(ValueError):
     """The config file failed to parse or validate."""
 
 
-#: The JSON type a top-level config field must have when present.
+#: The JSON type a top-level config field must have when present; `budget`
+#: and `alpha` are numbers that a float holds, checked by `_check_real`.
 FIELD_TYPES = {"population": (dict, "an object"), "output": (dict, "an object"),
-               "sweep": (dict, "an object"), "budget": ((int, float), "a number"),
-               "alpha": ((int, float), "a number"), "trials": (int, "an integer"),
+               "sweep": (dict, "an object"), "trials": (int, "an integer"),
                "seed": (int, "an integer"), "clamp_estimates": (bool, "true or false"),
                "negative_control": (bool, "true or false")}
 
@@ -118,6 +118,9 @@ class ExperimentConfig:
             if key in raw and not _has_type(raw[key], kind):
                 raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
         try:
+            for key in ("budget", "alpha"):
+                if key in raw:   # checked, but echoed as given: 400 stays 400
+                    _check_real(key, raw[key])
             population = PopulationSpec.from_dict(raw["population"])
             family = CostFamily(raw["cost_family"])
             output = raw.get("output", {})
@@ -222,23 +225,18 @@ def _quick_verification(config: ExperimentConfig, inst) -> List[dict]:
 
 def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
     param = config.sweep["parameter"]
-    if param == "budget":
-        return dataclasses.replace(config, budget=float(value), sweep=None)
-    if param == "alpha":
-        return dataclasses.replace(config, alpha=float(value), sweep=None)
+    if param in ("budget", "alpha"):
+        return dataclasses.replace(config, **{param: _check_real(param, value)}, sweep=None)
     if param == "seed":
         return dataclasses.replace(config, seed=_check_integer("seed", value), sweep=None)
     if param == "n":
-        pop = dataclasses.replace(config.population, n=value)
-        return dataclasses.replace(config, population=pop, sweep=None)
-    if param == "q":
-        pop = dataclasses.replace(config.population, bits=IndependentBits(q=float(value)))
-        return dataclasses.replace(config, population=pop, sweep=None)
-    if param == "threshold":
-        pop = dataclasses.replace(config.population,
-                                  bits=CorrelatedBits(threshold=float(value)))
-        return dataclasses.replace(config, population=pop, sweep=None)
-    raise ConfigError(f"unknown sweep parameter {param!r}")  # pragma: no cover
+        change = {"n": value}
+    elif param == "q":
+        change = {"bits": {"model": "independent", "q": value}}
+    else:
+        change = {"bits": {"model": "value_correlated", "threshold": value}}
+    pop = dataclasses.replace(config.population, **change)
+    return dataclasses.replace(config, population=pop, sweep=None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import enum
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Union
+from types import MappingProxyType
 
 import numpy as np
 
@@ -158,137 +159,114 @@ class Population:
 # Population specs (for reproducible experiment generation)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniformValues:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
+def _values_spec(d) -> Mapping:
+    """A config's `values` object, checked: a read-only copy of its known
+    fields, each number read as a float and `points` as a tuple."""
+    dist = d["dist"]
+    if dist == "uniform":
+        lo, hi = _check_real("lo", d["lo"]), _check_real("hi", d["hi"])
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise DomainError("uniform values require finite lo <= hi")
-
-
-@dataclass(frozen=True)
-class LogNormalValues:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)) or self.sigma < 0:
+        return MappingProxyType({"dist": "uniform", "lo": lo, "hi": hi})
+    if dist == "lognormal":
+        mu, sigma = _check_real("mu", d["mu"]), _check_real("sigma", d["sigma"])
+        if not (math.isfinite(mu) and math.isfinite(sigma)) or sigma < 0:
             raise DomainError("lognormal values require finite mu and sigma >= 0")
+        return MappingProxyType({"dist": "lognormal", "mu": mu, "sigma": sigma})
+    if dist == "point":
+        points = tuple(_check_real("points", p) for p in d["points"])
+        _check_nonneg_finite("points", points)
+        return MappingProxyType({"dist": "point", "points": points})
+    raise DomainError(f"unknown value distribution {dist!r}")
 
 
-@dataclass(frozen=True)
-class PointValues:
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        _check_nonneg_finite("points", self.points)
-
-
-@dataclass(frozen=True)
-class IndependentBits:
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.q <= 1.0):
+def _bits_spec(d) -> Mapping:
+    """A config's `bits` object, checked and copied as `_values_spec` does."""
+    model = d["model"]
+    if model == "independent":
+        q = _check_real("q", d["q"])
+        if not 0.0 <= q <= 1.0:
             raise DomainError("bit probability q must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class CorrelatedBits:
-    """b_i = 1 iff v_i >= threshold; models value/data correlation."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.threshold):
+        return MappingProxyType({"model": "independent", "q": q})
+    if model == "value_correlated":
+        threshold = _check_real("threshold", d["threshold"])
+        if not math.isfinite(threshold):
             raise DomainError("threshold must be finite")
+        return MappingProxyType({"model": "value_correlated", "threshold": threshold})
+    raise DomainError(f"unknown bit model {model!r}")
 
 
-ValueDistribution = Union[UniformValues, LogNormalValues, PointValues]
-BitModel = Union[IndependentBits, CorrelatedBits]
+def _field_error(exc: Exception) -> DomainError:
+    """The error for a spec's missing (`KeyError`) or mistyped (`TypeError`,
+    e.g. a list where an object belongs) field."""
+    what = "missing field" if isinstance(exc, KeyError) else "has a field of the wrong type:"
+    return DomainError(f"population spec {what} {exc}")
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """n agents whose valuations follow the config's `values` object (`dist`
+    uniform: lo, hi; lognormal: mu, sigma; point: n points) and whose bits
+    follow its `bits` object (`model` independent: each 1 with probability
+    q; value_correlated: b_i = 1 iff v_i >= threshold, the selection-bias
+    case).  Both are kept as checked read-only copies, so a spec is not
+    hashable."""
+
     n: int
-    values: ValueDistribution
-    bits: BitModel
+    values: Mapping
+    bits: Mapping
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            values, bits = _values_spec(self.values), _bits_spec(self.bits)
+        except (KeyError, TypeError) as exc:
+            raise _field_error(exc) from exc
         if _check_integer("n", self.n) < 1:
             raise DomainError("n must be >= 1")
         if _check_integer("population seed", self.seed) < 0:
             raise DomainError("population seed must be >= 0")
-        if isinstance(self.values, PointValues) and len(self.values.points) != self.n:
+        if values["dist"] == "point" and len(values["points"]) != self.n:
             raise DomainError("point-mass value list length must equal n")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bits", bits)
 
     def to_dict(self) -> dict:
-        if isinstance(self.values, UniformValues):
-            values = {"dist": "uniform", "lo": self.values.lo, "hi": self.values.hi}
-        elif isinstance(self.values, LogNormalValues):
-            values = {"dist": "lognormal", "mu": self.values.mu, "sigma": self.values.sigma}
-        else:
-            values = {"dist": "point", "points": list(self.values.points)}
-        if isinstance(self.bits, IndependentBits):
-            bits = {"model": "independent", "q": self.bits.q}
-        else:
-            bits = {"model": "value_correlated", "threshold": self.bits.threshold}
-        return {"n": self.n, "values": values, "bits": bits, "seed": self.seed}
+        values = dict(self.values)
+        if "points" in values:
+            values["points"] = list(values["points"])
+        return {"n": self.n, "values": values, "bits": dict(self.bits), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
         try:
-            vd = d["values"]
-            dist = vd["dist"]
-            if dist == "uniform":
-                values = UniformValues(lo=_check_real("lo", vd["lo"]),
-                                       hi=_check_real("hi", vd["hi"]))
-            elif dist == "lognormal":
-                values = LogNormalValues(mu=_check_real("mu", vd["mu"]),
-                                         sigma=_check_real("sigma", vd["sigma"]))
-            elif dist == "point":
-                values = PointValues(points=tuple(_check_real("points", p)
-                                                  for p in vd["points"]))
-            else:
-                raise DomainError(f"unknown value distribution {dist!r}")
-            bd = d["bits"]
-            model = bd["model"]
-            if model == "independent":
-                bits = IndependentBits(q=_check_real("q", bd["q"]))
-            elif model == "value_correlated":
-                bits = CorrelatedBits(threshold=_check_real("threshold", bd["threshold"]))
-            else:
-                raise DomainError(f"unknown bit model {model!r}")
-            return cls(n=d["n"], values=values, bits=bits, seed=d.get("seed", 0))
-        except KeyError as exc:
-            raise DomainError(f"population spec missing field {exc}") from exc
-        except TypeError as exc:   # e.g. a list where an object belongs
-            raise DomainError(f"population spec has a field of the wrong type: {exc}") from exc
+            values, bits, n = d["values"], d["bits"], d["n"]
+        except (KeyError, TypeError) as exc:
+            raise _field_error(exc) from exc
+        return cls(n=n, values=values, bits=bits, seed=d.get("seed", 0))
 
 
 def generate_population(spec: PopulationSpec) -> Population:
-    """Draw a Population from the spec. Deterministic given the seed.
+    """Draw a Population from the spec: the valuations first, then, for
+    independent bits, one uniform per agent.  Deterministic given the seed.
 
     `DomainError` if numpy cannot draw it: an n too large for an array, or a
     uniform range wider than a float holds."""
     rng = np.random.default_rng(spec.seed)
+    v = spec.values
     try:
-        if isinstance(spec.values, UniformValues):
-            values = rng.uniform(spec.values.lo, spec.values.hi, size=spec.n)
-        elif isinstance(spec.values, LogNormalValues):
-            values = rng.lognormal(spec.values.mu, spec.values.sigma, size=spec.n)
+        if v["dist"] == "uniform":
+            values = rng.uniform(v["lo"], v["hi"], size=spec.n)
+        elif v["dist"] == "lognormal":
+            values = rng.lognormal(v["mu"], v["sigma"], size=spec.n)
         else:
-            values = np.asarray(spec.values.points, dtype=float)
+            values = np.asarray(v["points"], dtype=float)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"cannot draw the population: {exc}") from exc
-    if isinstance(spec.bits, IndependentBits):
-        bits = (rng.random(spec.n) < spec.bits.q).astype(np.int64)
+    if spec.bits["model"] == "independent":
+        bits = (rng.random(spec.n) < spec.bits["q"]).astype(np.int64)
     else:
-        bits = (values >= spec.bits.threshold).astype(np.int64)
+        bits = (values >= spec.bits["threshold"]).astype(np.int64)
     return Population(bits=bits, values=values)
 
 

@@ -430,6 +430,46 @@ def test_non_finite_swept_value_is_a_config_error(tmp_path, capsys, param, liter
     assert err == "config error: sweep values must be a non-empty list of finite numbers\n"
 
 
+BEYOND_FLOAT = 10 ** 400
+SCENARIO_FIELDS = {"budget": {}, "alpha": {"scenario": "accuracy", "budget": None}}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+@pytest.mark.parametrize("field", sorted(SCENARIO_FIELDS))
+def test_scenario_field_beyond_float_is_a_config_error(tmp_path, capsys, command, field):
+    # these once exited 1 (a property failure) with an OverflowError traceback
+    cfg = write_config(tmp_path, "cfg.json", **SCENARIO_FIELDS[field],
+                       **{field: BEYOND_FLOAT},
+                       sweep={"parameter": "seed", "values": [1]})
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {field} must be a number that a float holds, got {BEYOND_FLOAT}\n"
+
+
+SWEPT_REAL_FIELDS = {
+    "budget": ({}, 2.0),
+    "alpha": ({"scenario": "accuracy", "budget": None, "alpha": 0.9}, 0.9),
+    "q": ({}, 0.5),
+    "threshold": ({"population": {**BASE_CONFIG["population"],
+                                  "bits": {"model": "value_correlated", "threshold": 2}}},
+                  3),
+}
+
+
+@pytest.mark.parametrize("param", sorted(SWEPT_REAL_FIELDS))
+def test_swept_value_beyond_float_is_that_rows_error(tmp_path, param):
+    # these once exited 1 with an OverflowError traceback
+    fields, good = SWEPT_REAL_FIELDS[param]
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", **fields, output={"path": str(out)},
+                       sweep={"parameter": param, "values": [good, BEYOND_FLOAT]})
+    assert main(["sweep", str(cfg)]) == 0
+    ok, bad = read_report(out)["records"]
+    assert ok["error"] == "" and ok["swept_value"] == good
+    assert bad == {"swept_value": BEYOND_FLOAT,
+                   "error": f"{param} must be a number that a float holds, got {BEYOND_FLOAT}"}
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_budget_monotone_k(tmp_path):

@@ -1,13 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from privauction.core import (ALL_FAMILIES, Allocation, CorrelatedBits, CostFamily,
-                              DomainError, IndependentBits, MechanismOutcome,
-                              PointValues, Population, PopulationSpec,
-                              UniformValues, _tolerance, _winner_mask, cost_eval,
+from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
+                              MechanismOutcome, Population, PopulationSpec,
+                              _tolerance, _winner_mask, cost_eval,
                               generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
@@ -74,6 +74,8 @@ def test_ordering_independent_of_eps(family):
 # --- the one input rule -----------------------------------------------------
 
 POP3 = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
+HALF = {"model": "independent", "q": 0.5}
+POINTS3 = {"dist": "point", "points": [1.0, 2.0, 3.0]}
 ADMISSIBILITY_ENTRY_POINTS = {
     "population-values": lambda bad: Population(bits=[1, 0], values=[1.0, bad]),
     "fair-query-rule-report": lambda bad: fair_query.rule(
@@ -84,7 +86,8 @@ ADMISSIBILITY_ENTRY_POINTS = {
     "cost-eval-eps": lambda bad: cost_eval(CostFamily.LINEAR, 1.0, bad),
     "budget": lambda bad: BudgetInstance(POP3, CostFamily.LINEAR, bad),
     "impossibility-bound": lambda bad: impossibility_bound([1.0, bad]),
-    "point-values": lambda bad: PointValues((1.0, bad)),
+    "point-values": lambda bad: PopulationSpec(
+        n=2, values={"dist": "point", "points": [1.0, bad]}, bits=HALF),
 }
 
 
@@ -134,41 +137,108 @@ def test_population_leaves_the_callers_arrays_writable():
 # --- generation ------------------------------------------------------------
 
 def test_point_mass_independent_q1():
-    spec = PopulationSpec(n=3, values=PointValues((1.0, 2.0, 3.0)),
-                          bits=IndependentBits(q=1.0), seed=0)
+    spec = PopulationSpec(n=3, values=POINTS3, bits={"model": "independent", "q": 1},
+                          seed=0)
     pop = generate_population(spec)
     np.testing.assert_array_equal(pop.bits, [1, 1, 1])
     np.testing.assert_array_equal(pop.values, [1.0, 2.0, 3.0])
 
 
 def test_value_correlated_threshold():
-    spec = PopulationSpec(n=3, values=PointValues((1.0, 2.0, 3.0)),
-                          bits=CorrelatedBits(threshold=2.0), seed=0)
+    spec = PopulationSpec(n=3, values=POINTS3,
+                          bits={"model": "value_correlated", "threshold": 2.0}, seed=0)
     pop = generate_population(spec)
     np.testing.assert_array_equal(pop.bits, [0, 1, 1])
 
 
 def test_generation_deterministic():
-    spec = PopulationSpec(n=1000, values=UniformValues(0.0, 1.0),
-                          bits=IndependentBits(q=0.5), seed=123)
+    spec = PopulationSpec(n=1000, values={"dist": "uniform", "lo": 0.0, "hi": 1.0},
+                          bits=HALF, seed=123)
     a, b = generate_population(spec), generate_population(spec)
     np.testing.assert_array_equal(a.bits, b.bits)
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_spec_dict_round_trip():
-    spec = PopulationSpec(n=4, values=UniformValues(0.0, 2.0),
-                          bits=CorrelatedBits(threshold=1.0), seed=9)
+    spec = PopulationSpec(n=4, values={"dist": "uniform", "lo": 0.0, "hi": 2.0},
+                          bits={"model": "value_correlated", "threshold": 1.0}, seed=9)
     assert PopulationSpec.from_dict(spec.to_dict()) == spec
 
 
+UNIFORM = {"dist": "uniform", "lo": 0.0, "hi": 1.0}
+SPEC_REJECTIONS = {
+    "uniform-lo-above-hi": ({"dist": "uniform", "lo": 2.0, "hi": 1.0}, HALF,
+                            "uniform values require finite lo <= hi"),
+    "uniform-lo-nan": ({"dist": "uniform", "lo": math.nan, "hi": 1.0}, HALF,
+                       "uniform values require finite lo <= hi"),
+    "uniform-lo-inf": ({"dist": "uniform", "lo": -math.inf, "hi": 1.0}, HALF,
+                       "uniform values require finite lo <= hi"),
+    "lognormal-negative-sigma": ({"dist": "lognormal", "mu": 0.0, "sigma": -1.0}, HALF,
+                                 "lognormal values require finite mu and sigma >= 0"),
+    "point-negative": ({"dist": "point", "points": [1.0, -1.0]}, HALF,
+                       "points must be finite and >= 0"),
+    "point-nan": ({"dist": "point", "points": [math.nan, 1.0]}, HALF,
+                  "points must be finite and >= 0"),
+    "point-count-not-n": ({"dist": "point", "points": [1.0]}, HALF,
+                          "point-mass value list length must equal n"),
+    "q-above-one": (UNIFORM, {"model": "independent", "q": 1.5},
+                    "bit probability q must lie in [0, 1]"),
+    "q-below-zero": (UNIFORM, {"model": "independent", "q": -0.1},
+                     "bit probability q must lie in [0, 1]"),
+    "threshold-inf": (UNIFORM, {"model": "value_correlated", "threshold": math.inf},
+                      "threshold must be finite"),
+    "unknown-dist": ({"dist": "beta", "a": 1.0}, HALF, "unknown value distribution 'beta'"),
+    "unknown-model": (UNIFORM, {"model": "copula"}, "unknown bit model 'copula'"),
+    "missing-field": ({"dist": "uniform", "lo": 0.0}, HALF,
+                      "population spec missing field 'hi'"),
+    "list-for-object": (UNIFORM, [0.5], "population spec has a field of the wrong type"),
+}
+
+
+@pytest.mark.parametrize("case", SPEC_REJECTIONS)
+def test_spec_rejects_with_its_message(case):
+    values, bits, message = SPEC_REJECTIONS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PopulationSpec(n=2, values=values, bits=bits)
+
+
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        PopulationSpec(n=2, values=PointValues((1.0,)), bits=IndependentBits(0.5))
-    with pytest.raises(DomainError):
-        PopulationSpec(n=2, values=UniformValues(2.0, 1.0), bits=IndependentBits(0.5))
-    with pytest.raises(DomainError):
-        IndependentBits(q=1.5)
+    # the edges of every range are accepted
+    for values in ({"dist": "uniform", "lo": 1, "hi": 1},
+                   {"dist": "lognormal", "mu": -3, "sigma": 0},
+                   {"dist": "point", "points": [0, 0]}):
+        for bits in ({"model": "independent", "q": 0}, {"model": "independent", "q": 1},
+                     {"model": "value_correlated", "threshold": -1e308}):
+            spec = PopulationSpec(n=2, values=values, bits=bits)
+            assert generate_population(spec).n == 2
+
+
+def test_spec_is_read_only_and_keeps_its_own_copy():
+    values = {"dist": "point", "points": [1.0, 2.0]}
+    bits = {"model": "independent", "q": 0.5}
+    spec = PopulationSpec(n=2, values=values, bits=bits)
+    with pytest.raises(TypeError):
+        spec.values["dist"] = "uniform"
+    with pytest.raises(TypeError):
+        spec.bits["q"] = 1.0
+    values["points"].append(3.0)
+    values["dist"], bits["q"] = "lognormal", 1.0
+    assert spec.values == {"dist": "point", "points": (1.0, 2.0)}
+    assert spec.bits == {"model": "independent", "q": 0.5}
+
+
+def test_spec_to_dict_is_plain_floats_and_known_keys():
+    spec = PopulationSpec.from_dict({
+        "n": 2, "seed": 4, "color": "red",
+        "values": {"dist": "point", "points": [1, 2], "unit": "usd"},
+        "bits": {"model": "value_correlated", "threshold": 1, "note": None}})
+    d = spec.to_dict()
+    assert d == {"n": 2, "seed": 4, "values": {"dist": "point", "points": [1.0, 2.0]},
+                 "bits": {"model": "value_correlated", "threshold": 1.0}}
+    assert type(d["values"]) is dict and type(d["bits"]) is dict
+    assert type(d["values"]["points"]) is list
+    assert all(type(p) is float for p in d["values"]["points"])
+    assert type(d["bits"]["threshold"]) is float
 
 
 # --- Allocation and MechanismOutcome ----------------------------------------

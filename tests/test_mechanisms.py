@@ -6,8 +6,7 @@ import pytest
 
 from corpus import with_values
 from privauction import mechanisms, verify
-from privauction.core import (ALL_FAMILIES, CostFamily, DomainError,
-                              IndependentBits, LogNormalValues, Population,
+from privauction.core import (ALL_FAMILIES, CostFamily, DomainError, Population,
                               PopulationSpec, cost_eval, generate_population)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
@@ -238,7 +237,8 @@ def test_kept_allocation_leaves_equality_and_hash_alone():
 
 def test_overflowing_rule_raises_on_every_call(cost_evals):
     # lognormal(6, 3) values reach ~1e5, where exp_arg's price is inf
-    spec = PopulationSpec(n=20, values=LogNormalValues(6.0, 3.0), bits=IndependentBits(0.5))
+    spec = PopulationSpec(n=20, values={"dist": "lognormal", "mu": 6.0, "sigma": 3.0},
+                          bits={"model": "independent", "q": 0.5})
     inst = AccuracyInstance(pop=generate_population(spec), model=CostFamily.EXP_ARG,
                             alpha=0.1)
     for _ in range(2):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privauction import core
-from privauction.core import (CostFamily, IndependentBits, PointValues,
-                              PopulationSpec, _stable_argsort, generate_population)
+from privauction.core import (CostFamily, PopulationSpec, _stable_argsort,
+                              generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
 
@@ -53,8 +53,8 @@ TIED = [0.0, 0.5, 1.0, 2.5, 7.0]
 
 def _tied_instances():
     rng = np.random.default_rng(0)
-    spec = PopulationSpec(n=N, values=PointValues(tuple(rng.choice(TIED, N))),
-                          bits=IndependentBits(q=0.5))
+    spec = PopulationSpec(n=N, values={"dist": "point", "points": rng.choice(TIED, N)},
+                          bits={"model": "independent", "q": 0.5})
     pop = generate_population(spec)
     return [(fair_query, BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=100.0)),
             (min_cost_auction, AccuracyInstance(pop=pop, model=CostFamily.EXP_ARG,
