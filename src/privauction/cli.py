@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 import numpy as np
@@ -243,12 +245,51 @@ def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _emit(report: dict, config: ExperimentConfig, stream) -> None:
-    if config.output_format == "csv":
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`, for
+    the values a report holds, without json's pure-Python indenting encoder.
+
+    `indent` is the newline and indentation of `value`'s own line. Dict keys
+    must be strings; NaN and +-inf raise json's `ValueError`, and any other
+    type (an `np.int64`, a set, bytes) json's `TypeError`.
+    """
+    # leaves first, the most frequent first; bool before int, as it is one
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, int):
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner)
+             for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(report: dict, body: Optional[str], stream) -> None:
+    """Write `body`, the report's JSON, or the report as CSV when it is None."""
+    if body is None:
         _emit_csv(report, stream)
     else:
-        # one write: json.dump's pure-Python indenting encoder writes per chunk
-        stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        # two writes, so the report is not copied once more into `body + "\n"`
+        stream.write(body)
+        stream.write("\n")
 
 
 def _emit_csv(report: dict, stream) -> None:
@@ -261,12 +302,15 @@ def _emit_csv(report: dict, stream) -> None:
 
 
 def _write_report(report: dict, config: ExperimentConfig) -> None:
+    # encoded before the file is opened, so a report that cannot be encoded
+    # leaves an existing output file as it was
+    body = None if config.output_format == "csv" else _json(report)
     if not config.output_path:
-        _emit(report, config, sys.stdout)
+        _emit(report, body, sys.stdout)
         return
     try:
         with open(config.output_path, "w", newline="") as fh:
-            _emit(report, config, fh)
+            _emit(report, body, fh)
     except OSError as exc:
         raise DomainError(
             f"cannot write report {config.output_path}: {exc.strerror or exc}") from exc
@@ -341,9 +385,13 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser: the command is a positional choice and every command
-    takes the same options, so no subparser is built per command."""
+    """The one parser, built on the first call and shared by every later
+    `main` call in the process: `parse_args` returns a fresh Namespace each
+    time and no action changes the parser. The command is a positional
+    choice and every command takes the same options, so no subparser is
+    built per command."""
     parser = argparse.ArgumentParser(
         prog="privauction",
         description="Auctions for buying differential privacy: experiment runner.")

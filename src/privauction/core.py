@@ -11,6 +11,7 @@ import enum
 import functools
 import math
 import numbers
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -74,21 +75,23 @@ def _check_nonneg_finite(name: str, x) -> np.ndarray:
 
 def _check_integer(name: str, x):
     """`x` unchanged; `DomainError` unless it is an integer (not a bool, and
-    not an integral float, string or NaN)."""
+    not an integral float, string or NaN). The message shortens `x` with
+    `reprlib.repr`, so a 400-digit value does not fill it."""
     if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise DomainError(f"{name} must be an integer, got {x!r}")
+        raise DomainError(f"{name} must be an integer, got {reprlib.repr(x)}")
     return x
 
 
 def _check_real(name: str, x) -> float:
     """`x` as a float; `DomainError` unless it is a number (not a bool or a
-    string) that a float holds."""
+    string) that a float holds. The message shortens `x` as `_check_integer`
+    does."""
     if isinstance(x, numbers.Real) and not isinstance(x, bool):
         try:
             return float(x)
         except OverflowError:   # an integer beyond 1.8e308
             pass
-    raise DomainError(f"{name} must be a number that a float holds, got {x!r}")
+    raise DomainError(f"{name} must be a number that a float holds, got {reprlib.repr(x)}")
 
 
 def cost_eval(family: CostFamily, v, eps):

@@ -167,6 +167,17 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command, target, reason):
     assert capsys.readouterr().err == f"error: cannot write report {path}: {reason}\n"
 
 
+def test_report_that_cannot_be_encoded_leaves_output_untouched(tmp_path, monkeypatch):
+    # the file was once opened, and so emptied, before the report was encoded
+    monkeypatch.setattr(privauction.verify, "accuracy_level", lambda out, n: float("nan"))
+    cfg = write_config(tmp_path, "cfg.json", trials=2)
+    out = tmp_path / "report.json"
+    out.write_bytes(b'{"an": "earlier report"}\n')
+    with pytest.raises(ValueError, match="Out of range float values"):
+        main(["run", str(cfg), "--output", str(out)])
+    assert out.read_bytes() == b'{"an": "earlier report"}\n'
+
+
 @pytest.mark.parametrize("argv", [["audit", "config.json"], ["verify"], []],
                          ids=["unknown-command", "missing-config", "no-arguments"])
 def test_usage_errors_exit_two(argv, capsys):
@@ -431,6 +442,7 @@ def test_non_finite_swept_value_is_a_config_error(tmp_path, capsys, param, liter
 
 
 BEYOND_FLOAT = 10 ** 400
+BEYOND_FLOAT_SHOWN = "100000000000000000...0000000000000000000"   # reprlib.repr's
 SCENARIO_FIELDS = {"budget": {}, "alpha": {"scenario": "accuracy", "budget": None}}
 
 
@@ -443,7 +455,8 @@ def test_scenario_field_beyond_float_is_a_config_error(tmp_path, capsys, command
                        sweep={"parameter": "seed", "values": [1]})
     assert main([command, str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {field} must be a number that a float holds, got {BEYOND_FLOAT}\n"
+    assert err == (f"config error: {field} must be a number that a float holds, "
+                   f"got {BEYOND_FLOAT_SHOWN}\n")
 
 
 SWEPT_REAL_FIELDS = {
@@ -466,8 +479,9 @@ def test_swept_value_beyond_float_is_that_rows_error(tmp_path, param):
     assert main(["sweep", str(cfg)]) == 0
     ok, bad = read_report(out)["records"]
     assert ok["error"] == "" and ok["swept_value"] == good
+    # the row echoes the value as given, and its error shortens it
     assert bad == {"swept_value": BEYOND_FLOAT,
-                   "error": f"{param} must be a number that a float holds, got {BEYOND_FLOAT}"}
+                   "error": f"{param} must be a number that a float holds, got {BEYOND_FLOAT_SHOWN}"}
 
 
 # --- sweep ------------------------------------------------------------------
