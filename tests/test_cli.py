@@ -167,14 +167,16 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command, target, reason):
     assert capsys.readouterr().err == f"error: cannot write report {path}: {reason}\n"
 
 
-def test_report_that_cannot_be_encoded_leaves_output_untouched(tmp_path, monkeypatch):
-    # the file was once opened, and so emptied, before the report was encoded
+def test_report_that_cannot_be_encoded_leaves_output_untouched(tmp_path, monkeypatch, capsys):
+    # the report is encoded before --output is opened; a NaN in it is an
+    # input outside what the math supports, so the command exits 2
     monkeypatch.setattr(privauction.verify, "accuracy_level", lambda out, n: float("nan"))
     cfg = write_config(tmp_path, "cfg.json", trials=2)
     out = tmp_path / "report.json"
     out.write_bytes(b'{"an": "earlier report"}\n')
-    with pytest.raises(ValueError, match="Out of range float values"):
-        main(["run", str(cfg), "--output", str(out)])
+    assert main(["run", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: cannot encode report: Out of range float "
+                                       "values are not JSON compliant: nan\n")
     assert out.read_bytes() == b'{"an": "earlier report"}\n'
 
 

@@ -2,15 +2,19 @@
 
 `cli._json` must give exactly what `json.dumps(v, indent=2, sort_keys=True,
 allow_nan=False)` gives, and fail where it fails; a report's bytes must be
-that layout of its own content. `cli.build_parser` is built once per process
-and shared by every `main` call.
+that layout of its own content. A report is rewritten in place, and a file
+that is not regular is written as a stream. `cli.build_parser` is built once
+per process and shared by every `main` call.
 """
 
 import argparse
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +99,75 @@ def test_report_bytes_are_json_dumps_layout(tmp_path, name):
     main([command, str(write_config(tmp_path, **fields)), "--output", str(out)])
     body = out.read_bytes()
     assert body == (json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n").encode()
+
+
+# --- writing the report ----------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("first, second", [("control-verify", "run"), ("run", "control-verify")],
+                         ids=["shorter-over-longer", "longer-over-shorter"])
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, fmt, first, second):
+    def write(name, out):
+        command, fields = REPORTS[name]
+        assert main([command, str(write_config(tmp_path, **fields)), "--format", fmt,
+                     "--output", str(out)]) in (0, 1)   # the control fails its checks
+
+    fresh, out = tmp_path / "fresh.out", tmp_path / "report.out"
+    write(second, fresh)
+    write(first, out)
+    os.chmod(out, 0o640)
+    before = os.stat(out)
+    assert before.st_size != fresh.stat().st_size
+    write(second, out)
+    after = os.stat(out)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+
+def test_device_is_written_and_never_cut(tmp_path):
+    cfg = write_config(tmp_path, **REPORTS["run"][1])
+    assert main(["run", str(cfg), "--output", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_fifo_is_written_as_a_stream(tmp_path):
+    cfg = write_config(tmp_path, **REPORTS["run"][1])
+    fifo, expected = tmp_path / "report.fifo", tmp_path / "report.json"
+    assert main(["run", str(cfg), "--output", str(expected)]) == 0
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(["run", str(cfg), "--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [expected.read_bytes()]
+
+
+def test_failed_write_exits_two_and_closes_the_file(tmp_path, monkeypatch, capsys):
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+
+    def full_disk(report, body, stream):
+        stream.write("{")
+        stream.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    cfg = write_config(tmp_path, **REPORTS["run"][1])
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(cli, "_emit", full_disk)
+    open_before = len(os.listdir(fds))
+    assert main(["run", str(cfg), "--output", str(out)]) == 2
+    assert len(os.listdir(fds)) == open_before
+    assert capsys.readouterr().err == (f"error: cannot write report {out}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
 
 
 # --- the shared parser ------------------------------------------------------
