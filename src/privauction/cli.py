@@ -303,13 +303,34 @@ def _emit_csv(report: dict, stream) -> None:
         writer.writerow({k: rec.get(k, "") for k in fields})
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at `os.devnull`, as the `signal` module's
+    documentation advises after a write to a closed pipe fails.
+
+    Bytes that stdout still buffers after a failed write would otherwise
+    fail the interpreter's flush at exit, which prints a second error and
+    makes the exit status 120. A stdout with no descriptor (a test's
+    `StringIO`) is left alone: nothing flushes it at exit.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):   # io.UnsupportedOperation
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def _write_report(report: dict, config: ExperimentConfig) -> None:
     """Encode `report`, then write it to stdout or to `config.output_path`.
 
     The report is encoded before the file is opened, so a report that cannot
     be encoded (a NaN that reached it) raises `DomainError` and leaves an
     existing output file as it was. An `OSError` from the open, the write or
-    the cut raises `DomainError` too.
+    the cut raises `DomainError` too, and so does one from writing or
+    flushing stdout, after `_discard_stdout`.
 
     An existing file is rewritten in place: opened without `O_TRUNC`,
     written from its start and then cut to the written length. Truncating a
@@ -333,7 +354,13 @@ def _write_report(report: dict, config: ExperimentConfig) -> None:
     except ValueError as exc:
         raise DomainError(f"cannot encode report: {exc}") from exc
     if not config.output_path:
-        _emit(report, body, sys.stdout)
+        try:
+            _emit(report, body, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            raise DomainError(
+                f"cannot write report to stdout: {exc.strerror or exc}") from exc
         return
     try:
         # `open` owns the descriptor, closing it if wrapping fails, and adds

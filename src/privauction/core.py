@@ -282,24 +282,24 @@ class Allocation:
     """A mechanism's deterministic part on m reported profiles, the rows of
     an (m, n) matrix of reports.
 
-    In row r the k[r] first agents of order[r] win, each at privacy level
+    In row r the k[r] agents marked in won[r] win, each at privacy level
     1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
-    charge[r].  Fails closed: every k must lie in [0, n-1], payments and
+    charge[r].  Fails closed: every k must lie in [0, n-1], `won` must be
+    boolean and each of its rows mark exactly k[r] agents, payments and
     charges must be finite and payments >= 0, and each charge must cover its
     row's payments up to `_tolerance`.  The arrays are made read-only.
-    Each row of `order` is trusted, not checked, to be a permutation of the
-    agents: every order comes from `_stable_argsort` or reuses one.
     """
 
-    order: np.ndarray     # (m, n): each row's stable ascending order
+    won: np.ndarray       # (m, n) bool: each row's winners, by agent index
     k: np.ndarray         # (m,): winner counts, 0 <= k <= n-1
     payments: np.ndarray  # (m, n): per original agent index
     charge: np.ndarray    # (m,)
 
     def __post_init__(self):
-        order, k, payments, charge = self.order, self.k, self.payments, self.charge
-        if ((k < 0) | (k >= order.shape[1])).any():
-            raise DomainError("winner counts must lie in [0, n-1]")
+        won, k, payments, charge = self.won, self.k, self.payments, self.charge
+        # a count is >= 0, so this bounds k to [0, n-1] as well
+        if won.dtype != bool or ((won.sum(axis=1) != k) | (k >= won.shape[1])).any():
+            raise DomainError("each row must mark exactly k winners, k in [0, n-1]")
         with np.errstate(over="ignore"):   # an overflowed sum is rejected next
             total = payments.sum(axis=1)
         # payments >= 0 whose row sums are finite are finite themselves
@@ -308,35 +308,68 @@ class Allocation:
             raise DomainError(_OVERFLOW)
         if (charge < total - _tolerance(total)).any():
             raise DomainError("analyst charge must cover the payments")
-        for arr in (order, k, payments, charge):
+        for arr in (won, k, payments, charge):
             arr.setflags(write=False)
 
     @functools.cached_property
     def epsilons(self) -> np.ndarray:
         """(m, n) privacy levels: 1/(n - k) for each row's winners, 0
         otherwise; built on first read, kept and read-only."""
-        n = self.order.shape[1]
-        eps = np.where(_winner_mask(self.order, self.k),
-                       (1.0 / (n - self.k))[:, None], 0.0)
+        n = self.won.shape[1]
+        eps = np.where(self.won, (1.0 / (n - self.k))[:, None], 0.0)
         eps.setflags(write=False)
         return eps
 
 
-def _winner_mask(order: np.ndarray, k) -> np.ndarray:
-    """(m, n) mask of the k[r] first agents of each order[r], by agent index."""
-    m, n = order.shape
-    mask = np.empty(m * n, dtype=bool)
-    # one scatter through flat indices, which numpy does faster than through
-    # (row, column) index pairs
-    mask[order + n * np.arange(m)[:, None]] = np.arange(n) < np.reshape(k, (-1, 1))
-    return mask.reshape(m, n)
+def _k_cheapest(keys: np.ndarray, k: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """(m, n) mask of each row's k[r] cheapest keys, ties by index, given
+    kth[r], the row's k[r]-th smallest key (-inf where k[r] is 0).
+
+    Keys at most the k-th are the winners unless keys equal to it straddle
+    it; only then do the keys below it win, and the equal ones in index
+    order.  -0.0 equals 0.0 here, as it does in a stable sort.  Each row
+    marks at least k[r] keys, so the marks total sum(k) only if no row
+    marks more.
+    """
+    kth = kth[:, None]
+    won = keys <= kth
+    if np.count_nonzero(won) != k.sum():
+        rows = np.flatnonzero(won.sum(axis=1) != k)
+        sub, t = keys[rows], kth[rows]
+        below, tied = sub < t, sub == t
+        left = k[rows] - below.sum(axis=1)
+        won[rows] = below | (tied & (np.cumsum(tied, axis=1) <= left[:, None]))
+    return won
+
+
+def _zeros_in_index_order(keys: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """`ranked`, the rows of `keys` (each >= 0, none NaN) ranked by
+    `np.sort` or `np.partition`, with each row's leading zeros rewritten, in
+    place, as the row's first zeros in index order.
+
+    -0.0 and 0.0 are the only such keys that are equal but not identical, and
+    numpy's sort and partition put them in any order.  After the rewrite,
+    every position up to a row's first nonzero key holds, byte for byte,
+    the key that the stable order (key, then index) puts there, and so does
+    every later position of a sorted row.
+    """
+    first = ranked[:, 0]
+    if not first.all():
+        rows = np.flatnonzero(first == 0)
+        run = ranked[rows]
+        lead = np.logical_and.accumulate(run == 0, axis=1)
+        sub = keys[rows]
+        zeros = sub == 0
+        run[lead] = sub[zeros & (np.cumsum(zeros, axis=1) <= lead.sum(axis=1)[:, None])]
+        ranked[rows] = run
+    return ranked
 
 
 #: Rows shorter than this are ranked by numpy's stable sort (timsort), which
 #: beats `_stable_argsort`'s fixed cost of ~10-15 us there; at 1,400 keys
-#: with heavy ties the two take the same time (2-core AVX-512 VM).  The
-#: test is on the row length, not the input size: the kernel is slower on
-#: many short rows with ties, e.g. a (4096, 16) block.
+#: with heavy ties the two take the same time (2-core AVX-512 VM).  Only the
+#: unilateral forms rank (`mechanisms._positions`, one row of n truthful
+#: keys); the allocation rules select the k cheapest instead (`_k_cheapest`).
 _SIMD_SORT_MIN = 1400
 
 
@@ -378,7 +411,7 @@ class MechanismOutcome:
     allocation: Allocation
 
     def __post_init__(self):
-        if self.allocation.order.shape[0] != 1:
+        if self.allocation.won.shape[0] != 1:
             raise DomainError("a mechanism outcome needs a one-row allocation")
 
     @property
@@ -396,11 +429,11 @@ class MechanismOutcome:
     @property
     def noise_scale(self) -> float:
         """n - k, the Laplace scale of the estimate."""
-        return float(self.allocation.order.shape[1] - self.winner_count)
+        return float(self.allocation.won.shape[1] - self.winner_count)
 
     @property
     def winners(self) -> frozenset:
-        return frozenset(self.allocation.order[0, :self.winner_count].tolist())
+        return frozenset(np.flatnonzero(self.allocation.won[0]).tolist())
 
     @property
     def epsilons(self) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_nonneg_finite,
-                   _stable_argsort, _winner_mask, cost_eval)
+                   _k_cheapest, _stable_argsort, _zeros_in_index_order, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -68,24 +68,33 @@ def _reports(inst, values) -> np.ndarray:
     return values
 
 
-def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
-    """An instance's allocation by `rule` on its own reports as a one-row
-    matrix and the estimator plan of that row's winners, kept per rule in
-    the instance's `__dict__` under `_allocations`, as a `cached_property`
-    would be, out of reach of equality, hash and repr.
+def _kept(inst, key, build):
+    """`build()`, kept per `key` in the instance's `__dict__` under
+    `_allocations`, as a `cached_property` would be, out of reach of
+    equality, hash and repr.
 
     Instances are frozen, their population arrays read-only, and
     `dataclasses.replace` builds a new instance, so the kept result cannot go
-    stale.  A rule that raises keeps nothing and raises again on every call.
+    stale.  A `build` that raises keeps nothing and raises again on every
+    call.
     """
     try:
-        return inst.__dict__["_allocations"][rule]
+        return inst.__dict__["_allocations"][key]
     except KeyError:
         pass
-    alloc = rule(inst, inst.pop.values[None, :])
-    kept = alloc, EstimatorPlan(inst.pop, alloc.order[0, :alloc.k[0]])
-    inst.__dict__.setdefault("_allocations", {})[rule] = kept
+    kept = build()
+    inst.__dict__.setdefault("_allocations", {})[key] = kept
     return kept
+
+
+def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
+    """An instance's allocation by `rule` on its own reports as a one-row
+    matrix and the estimator plan of that row's winners, kept per rule
+    (`_kept`)."""
+    def build():
+        alloc = rule(inst, inst.pop.values[None, :])
+        return alloc, EstimatorPlan(inst.pop, np.flatnonzero(alloc.won[0]))
+    return _kept(inst, rule, build)
 
 
 def _outcome(inst, rule, rng: np.random.Generator) -> MechanismOutcome:
@@ -100,12 +109,11 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     model, budget = inst.model, inst.budget
     values = _reports(inst, values)
     m, n = values.shape
-    order = _stable_argsort(values)   # ties by index
-    v_sorted = values[np.arange(m)[:, None], order]
+    v_sorted = _zeros_in_index_order(values, np.sort(values, axis=-1))
 
-    k = np.zeros(m, dtype=np.intp)
-    price = np.zeros(m)
-    if n >= 2:
+    if n < 2:   # no k >= 1 leaves a seller out
+        k, price, kth = np.zeros(m, dtype=np.intp), np.zeros(m), np.full(m, -np.inf)
+    else:
         ks = np.arange(1, n)
         cap = budget / ks
         # for every k in [1, n-1], the costs at eps = 1/(n-k) of the k-th
@@ -113,9 +121,11 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
         last_in, first_out = cost_eval(
             model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
         k = ((last_in <= cap) * ks).max(axis=1)   # the largest feasible k, 0 if none
-        price = np.where(k > 0, np.minimum(cap, first_out)[np.arange(m), k - 1], 0.0)
+        at = np.arange(m), k - 1   # a row with k = 0 pays its price to no one
+        price = np.minimum(cap, first_out)[at]
+        kth = np.where(k > 0, v_sorted[at], -np.inf)   # the k-th cheapest report
 
-    won = _winner_mask(order, k)
+    won = _k_cheapest(values, k, kth)
     payments = np.where(won, price[:, None], 0.0)
     total = payments.sum(axis=1)
     # the budget constraint is exact; nudge a row's price down by ulps while
@@ -126,7 +136,7 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
         payments = np.where(won, price[:, None], 0.0)
         total = payments.sum(axis=1)
         over = total > budget
-    return Allocation(order, k, payments, total)
+    return Allocation(won, k, payments, total)
 
 
 def _positions(keys: np.ndarray, agents, reports):
@@ -217,12 +227,17 @@ def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
     if k >= n:
         raise DomainError("accuracy target unattainable: winner count would reach n")
     w = cost_eval(inst.model, values, np.full(n, 1.0 / (n - k)))
-    order = _stable_argsort(w)
-    price = w[np.arange(m), order[:, k]]   # the (k+1)-th lowest unit cost
-    payments = np.where(_winner_mask(order, k), price[:, None], 0.0)
+    # one kth: numpy partitions around a sequence of them several times slower
+    ranked = _zeros_in_index_order(w, np.partition(w, k, axis=-1))
+    price = ranked[:, k].copy()   # the (k+1)-th lowest unit cost
+    kth = ranked[:, :k].max(axis=1)
+    del ranked   # free the partitioned copy before the payments are built
+    ks = np.full(m, k)
+    won = _k_cheapest(w, ks, kth)
+    payments = np.where(won, price[:, None], 0.0)
     with np.errstate(over="ignore"):   # `Allocation` rejects an inf charge
         charge = k * price
-    return Allocation(order, np.full(m, k), payments, charge)
+    return Allocation(won, ks, payments, charge)
 
 
 def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):

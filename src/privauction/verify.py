@@ -19,7 +19,7 @@ from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    _tolerance, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
-from .mechanisms import (AccuracyInstance, BudgetInstance, _truthful,
+from .mechanisms import (AccuracyInstance, BudgetInstance, _kept, _truthful,
                          fair_query, min_cost_auction)
 
 Instance = Union[BudgetInstance, AccuracyInstance]
@@ -373,13 +373,18 @@ def check_estimator_privacy(noise_scale: float) -> VerificationReport:
 # Negative control
 # ---------------------------------------------------------------------------
 
+def _repriced(inst: BudgetInstance, values, alloc: Allocation) -> Allocation:
+    """`alloc`, `fair_query`'s allocation on an (m, n) matrix of reports
+    `values`, with each winner paid her reported cost at her privacy level
+    (0 for losers, whose level is 0); the charge is their sum."""
+    payments = cost_eval(inst.model, values, alloc.epsilons)
+    return Allocation(alloc.won, alloc.k, payments, payments.sum(axis=-1))
+
+
 def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:
     """`pay_your_bid_control`'s allocation on each row of an (m, n) matrix of
-    reports: `fair_query`'s winners, each paid her reported cost at her
-    privacy level (0 for losers, whose level is 0); the charge is their sum."""
-    alloc = fair_query.rule(inst, values)
-    payments = cost_eval(inst.model, values, alloc.epsilons)
-    return Allocation(alloc.order, alloc.k, payments, payments.sum(axis=-1))
+    reports: `fair_query`'s allocation on them, `_repriced`."""
+    return _repriced(inst, values, fair_query.rule(inst, values))
 
 
 def pay_your_bid_control(inst: BudgetInstance,
@@ -389,10 +394,14 @@ def pay_your_bid_control(inst: BudgetInstance,
     can overreport within the winning range and be paid more.  Used only as a
     negative control for the truthfulness checker.
 
-    Draws `fair_query`'s estimate; the allocation is its rule's, kept per
-    instance as `fair_query`'s is."""
+    Draws `fair_query`'s estimate; the allocation is `fair_query`'s kept one
+    (`_truthful`), `_repriced` once per instance and kept beside it, under
+    this function rather than a rule, as `_truthful` keeps (allocation,
+    plan) pairs under rules."""
     estimate = fair_query(inst, rng).estimate
-    return MechanismOutcome(estimate, _truthful(inst, _pay_your_bid_rule)[0])
+    alloc = _kept(inst, pay_your_bid_control, lambda: _repriced(
+        inst, inst.pop.values[None, :], _truthful(inst, fair_query.rule)[0]))
+    return MechanismOutcome(estimate, alloc)
 
 
 def _pay_your_bid_unilateral(inst: BudgetInstance, agents, reports):

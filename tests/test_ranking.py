@@ -1,6 +1,7 @@
-"""`core._stable_argsort`, the one ranking kernel of both allocation rules
-and their unilateral forms, is numpy's stable argsort bit for bit, on
-either side of the row length at which it switches to numpy's SIMD sort."""
+"""`core._stable_argsort`, the ranking kernel of both unilateral forms, is
+numpy's stable argsort bit for bit, on either side of the row length at
+which it switches to numpy's SIMD sort; and the allocation rules, which
+select instead of ranking, equal ranking all n on rows that long."""
 
 from unittest import mock
 
@@ -14,6 +15,7 @@ from privauction.core import (CostFamily, PopulationSpec, _stable_argsort,
                               generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
+from test_rules import assert_equals_ranking
 
 SIMD_MIN = core._SIMD_SORT_MIN
 
@@ -75,11 +77,9 @@ def test_rules_on_heavy_ties_match_the_stable_sort(mechanism, inst):
     alloc = mechanism.rule(inst, reports)
     unilateral = mechanism.unilateral(inst, agents, own)
     with mock.patch.object(core, "_SIMD_SORT_MIN", N + 1):   # numpy's stable sort
-        stable_alloc = mechanism.rule(inst, reports)
         stable_unilateral = mechanism.unilateral(inst, agents, own)
 
     assert 0 < alloc.k.min() and alloc.k.max() < N - 1
-    for name in ("order", "k", "payments", "charge"):
-        assert getattr(alloc, name).tobytes() == getattr(stable_alloc, name).tobytes()
+    assert_equals_ranking(lambda: alloc, mechanism, inst, reports)
     for got, want in zip(unilateral, stable_unilateral):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

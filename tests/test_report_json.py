@@ -3,8 +3,9 @@
 `cli._json` must give exactly what `json.dumps(v, indent=2, sort_keys=True,
 allow_nan=False)` gives, and fail where it fails; a report's bytes must be
 that layout of its own content. A report is rewritten in place, and a file
-that is not regular is written as a stream. `cli.build_parser` is built once
-per process and shared by every `main` call.
+that is not regular is written as a stream. A report that cannot be written,
+to a file or to stdout, exits 2 with one line. `cli.build_parser` is built
+once per process and shared by every `main` call.
 """
 
 import argparse
@@ -168,6 +169,49 @@ def test_failed_write_exits_two_and_closes_the_file(tmp_path, monkeypatch, capsy
     assert len(os.listdir(fds)) == open_before
     assert capsys.readouterr().err == (f"error: cannot write report {out}: "
                                        f"{os.strerror(errno.ENOSPC)}\n")
+
+
+class FullStream:
+    """A stdout on a full disk: `write` or `flush` raises ENOSPC."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_stdout_write_exits_two_in_process(tmp_path, monkeypatch, capsys, failing):
+    cfg = write_config(tmp_path, **REPORTS["run"][1])
+    monkeypatch.setattr(sys, "stdout", FullStream(failing))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write report to stdout: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_report_to_a_full_stdout_exits_two_with_one_line(tmp_path, fmt, unbuffered):
+    # the small CSV report stays in stdout's buffer until the flush; without
+    # a discarded descriptor the interpreter's own flush at exit fails again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(privauction.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cfg = write_config(tmp_path, **REPORTS["run"][1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "privauction.cli", "run", str(cfg),
+                               "--format", fmt], stdout=full, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        2, f"error: cannot write report to stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 # --- the shared parser ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Each mechanism's allocation rule, run on a stack of reported profiles,
 gives in every row exactly the payments, privacy levels and winners of the
-mechanism run on that row's profile alone."""
+mechanism run on that row's profile alone, and exactly those of the same
+rule computed by ranking all n reports with a stable argsort."""
 
 import dataclasses
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import with_values
-from privauction.core import (ALL_FAMILIES, CostFamily, DomainError, Population,
-                              _winner_mask)
+from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
+                              Population, cost_eval)
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
@@ -22,13 +23,15 @@ RNG = lambda s=0: np.random.default_rng(s)
 # a small pool makes ties within and across rows common
 TIED = st.sampled_from([0.0, 5e-324, 0.5, 1.0, 2.5, 7.0])
 VALUE = st.one_of(TIED, st.floats(0.0, 10.0))
+# both zeros, and values whose exp_arg cost overflows to inf (800 at eps = 1)
+SIGNED = st.one_of(TIED, st.sampled_from([-0.0, 800.0, 1e300]), st.floats(0.0, 10.0))
 
 
 @st.composite
-def stacks(draw, n_min=1):
+def stacks(draw, n_min=1, value=VALUE):
     n = draw(st.one_of(st.sampled_from([n_min, 2]), st.integers(n_min, 16)))
     m = draw(st.integers(1, 6))
-    values = np.array([[draw(VALUE) for _ in range(n)] for _ in range(m)])
+    values = np.array([[draw(value) for _ in range(n)] for _ in range(m)])
     bits = np.array([draw(st.integers(0, 1)) for _ in range(n)])
     return bits, values, draw(st.sampled_from(ALL_FAMILIES))
 
@@ -45,7 +48,7 @@ def assert_rows_match(mechanism, inst, values):
     for r, row in enumerate(values):
         out = mechanism(dataclasses.replace(inst, pop=with_values(inst.pop, row)), RNG())
         k = int(alloc.k[r])
-        assert frozenset(alloc.order[r, :k].tolist()) == out.winners
+        assert frozenset(np.flatnonzero(alloc.won[r]).tolist()) == out.winners
         assert alloc.payments[r].tobytes() == out.payments.tobytes()
         assert alloc.epsilons[r].tobytes() == out.epsilons.tobytes()
         assert float(alloc.charge[r]) == out.analyst_charge
@@ -74,25 +77,180 @@ def test_accuracy_rule_matches_per_profile_runs(data, stack):
     assert_rows_match(min_cost_auction, inst, values)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), stack=stacks(n_min=2))
-def test_every_order_row_is_a_permutation(data, stack):
-    # `Allocation` trusts each row of `order` to be a permutation, so
-    # `_winner_mask` marks exactly k[r] agents; -0.0 must tie with 0.0
+def instances(data, stack):
+    """A budget instance and, for n >= 2, an accuracy instance over the
+    stack's first row, each with the mechanisms that take it."""
     bits, values, model = stack
-    m, n = values.shape
-    signs = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
-    values[(values == 0.0) & np.reshape(signs, (m, n))] = -0.0
+    n = values.shape[1]
     pop = Population(bits=bits, values=values[0])
-    budget = BudgetInstance(pop=pop, model=model,
-                            budget=data.draw(budget_instances(n)))
-    alpha_scaled = data.draw(st.floats(1.0 / n + 1e-9, 0.6))
-    accuracy = AccuracyInstance(pop=pop, model=model, alpha=alpha_scaled * ACCURACY_CONST)
-    for mechanism, inst in ((fair_query, budget), (pay_your_bid_control, budget),
-                            (min_cost_auction, accuracy)):
-        alloc = mechanism.rule(inst, values)
-        assert (np.sort(alloc.order, axis=1) == np.arange(n)).all()
-        assert (_winner_mask(alloc.order, alloc.k).sum(axis=1) == alloc.k).all()
+    budget = BudgetInstance(pop=pop, model=model, budget=data.draw(budget_instances(n)))
+    cases = [(fair_query, budget), (pay_your_bid_control, budget)]
+    if n >= 2:
+        alpha_scaled = data.draw(st.floats(1.0 / n + 1e-9, 0.6))
+        cases.append((min_cost_auction, AccuracyInstance(
+            pop=pop, model=model, alpha=alpha_scaled * ACCURACY_CONST)))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), stack=stacks(value=SIGNED))
+def test_every_won_row_holds_exactly_k_winners(data, stack):
+    values = stack[1]
+    for mechanism, inst in instances(data, stack):
+        try:
+            alloc = mechanism.rule(inst, values)
+        except DomainError:   # a price or payment overflowed
+            continue
+        assert alloc.won.dtype == bool and alloc.won.shape == values.shape
+        assert (np.count_nonzero(alloc.won, axis=1) == alloc.k).all()
+
+
+# --- the reference: each rule by ranking all n -------------------------------
+
+def _ranked(keys):
+    """Each row's stable ascending order (ties by index, -0.0 with 0.0) and
+    its keys in that order."""
+    order = np.argsort(keys, axis=-1, kind="stable")
+    return order, np.take_along_axis(keys, order, axis=-1)
+
+
+def _first(order, k):
+    """(m, n) mask of the k[r] first agents of each order[r]."""
+    return np.argsort(order, axis=-1) < np.reshape(k, (-1, 1))
+
+
+def ranking_fair_query(inst, values):
+    """`fair_query.rule` by ranking: (won, k, payments, charge)."""
+    model, budget = inst.model, inst.budget
+    m, n = values.shape
+    order, v_sorted = _ranked(values)
+    k = np.zeros(m, dtype=np.intp)
+    price = np.zeros(m)
+    if n >= 2:
+        ks = np.arange(1, n)
+        cap = budget / ks
+        last_in, first_out = cost_eval(
+            model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
+        k = ((last_in <= cap) * ks).max(axis=1)
+        price = np.where(k > 0, np.minimum(cap, first_out)[np.arange(m), k - 1], 0.0)
+    won = _first(order, k)
+    payments = np.where(won, price[:, None], 0.0)
+    total = payments.sum(axis=1)
+    over = total > budget
+    while over.any():
+        price[over] = np.nextafter(price[over], 0.0)
+        payments = np.where(won, price[:, None], 0.0)
+        total = payments.sum(axis=1)
+        over = total > budget
+    return won, k, payments, total
+
+
+def ranking_min_cost(inst, values):
+    """`min_cost_auction.rule` by ranking: (won, k, payments, charge)."""
+    m, n = values.shape
+    k = inst.winner_count
+    w = cost_eval(inst.model, values, np.full(n, 1.0 / (n - k)))
+    order, w_sorted = _ranked(w)
+    price = w_sorted[:, k]
+    won = _first(order, k)
+    with np.errstate(over="ignore"):
+        charge = k * price
+    return won, np.full(m, k), np.where(won, price[:, None], 0.0), charge
+
+
+def ranking_pay_your_bid(inst, values):
+    """`pay_your_bid_control.rule` by ranking: (won, k, payments, charge)."""
+    won, k, _, _ = ranking_fair_query(inst, values)
+    eps = np.where(won, (1.0 / (values.shape[1] - k))[:, None], 0.0)
+    payments = cost_eval(inst.model, values, eps)
+    return won, k, payments, payments.sum(axis=-1)
+
+
+RANKING = {fair_query: ranking_fair_query, min_cost_auction: ranking_min_cost,
+           pay_your_bid_control: ranking_pay_your_bid}
+
+
+def assert_equals_ranking(get_alloc, mechanism, inst, values):
+    """`get_alloc()` equals `mechanism`'s rule by ranking on `values` byte
+    for byte, the sign of each zero included, or both fail closed."""
+    won, k, payments, charge = RANKING[mechanism](inst, values)
+    try:
+        Allocation(won, k, payments, charge)
+    except DomainError:
+        with pytest.raises(DomainError):
+            get_alloc()
+        return
+    alloc = get_alloc()
+    eps = np.where(won, (1.0 / (values.shape[1] - k))[:, None], 0.0)
+    for got, want in ((alloc.won, won), (alloc.k, k), (alloc.epsilons, eps),
+                      (alloc.payments, payments), (alloc.charge, charge)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stack=stacks(value=SIGNED))
+def test_rules_equal_ranking_all_n(data, stack):
+    # signs flip about half the zeros, so -0.0 and 0.0 tie in most rows
+    values = stack[1]
+    signs = data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+    values[(values == 0.0) & np.reshape(signs, values.shape)] *= -1.0
+    for mechanism, inst in instances(data, stack):
+        assert_equals_ranking(lambda: mechanism.rule(inst, values), mechanism, inst, values)
+        for row in values:
+            # the kept run of each row: the control reprices `fair_query`'s
+            one = dataclasses.replace(inst, pop=with_values(inst.pop, row))
+            assert_equals_ranking(lambda: mechanism(one, RNG()).allocation,
+                                  mechanism, one, row[None, :])
+
+
+@pytest.mark.parametrize("kind, row, price", [
+    # min_cost_auction buys k = 3 of 5: the fourth zero by index sets the price
+    ("accuracy", [0.0, -0.0, 0.0, -0.0, 3.0], -0.0),
+    ("accuracy", [-0.0, 0.0, -0.0, 0.0, 3.0], 0.0),
+    ("accuracy", [0.0, 0.0, 3.0, -0.0, 0.0], 0.0),
+    ("accuracy", [-0.0, 3.0, -0.0, -0.0, -0.0], -0.0),
+    # fair_query buys k = n - 1 zeros: the last agent's zero sets the price
+    ("budget", [0.0, -0.0, 0.0, -0.0, -0.0], -0.0),
+    ("budget", [-0.0, -0.0, -0.0, -0.0, 0.0], 0.0),
+])
+def test_a_zero_price_is_the_next_agents_own_zero(kind, row, price):
+    pop = Population(bits=np.ones(5, int), values=row)
+    if kind == "accuracy":
+        mechanism = min_cost_auction
+        inst = AccuracyInstance(pop=pop, model=CostFamily.LINEAR, alpha=0.5 * ACCURACY_CONST)
+    else:
+        mechanism = fair_query
+        inst = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=1.0)
+    values = np.array([row])
+    alloc = mechanism.rule(inst, values)
+    paid = alloc.payments[alloc.won]
+    assert paid.size == (3 if kind == "accuracy" else 4)
+    assert paid.tobytes() == np.full(paid.size, price).tobytes()
+    assert_equals_ranking(lambda: alloc, mechanism, inst, values)
+
+
+@pytest.mark.parametrize("n", [16, 64, 200, 3000])
+@pytest.mark.parametrize("mechanism", [min_cost_auction, fair_query, pay_your_bid_control])
+def test_zeros_of_both_signs_keep_their_stable_order(mechanism, n):
+    # numpy's sort and partition put -0.0 and 0.0 in any order at these
+    # lengths; the price must still be the (k+1)-th agent's own zero.  The
+    # accuracy rows are mostly zeros, so k = 0.7n winners leave a zero
+    # first out; in a budget row only an all-zero row prices at a zero.
+    rng = np.random.default_rng(n)
+    signed = lambda size: rng.choice([0.0, -0.0], size)
+    if mechanism is min_cost_auction:
+        rows = [np.where(rng.random(n) < 0.9, signed(n), rng.random(n)) for _ in range(2)]
+        inst = AccuracyInstance(pop=Population(bits=np.ones(n, int), values=rows[0]),
+                                model=CostFamily.QUADRATIC, alpha=0.3 * ACCURACY_CONST)
+    else:
+        rows = [signed(n), signed(n)]
+        inst = BudgetInstance(pop=Population(bits=np.ones(n, int), values=rows[0]),
+                              model=CostFamily.LINEAR, budget=float(n))
+    values = np.stack(rows + [rng.random(n)])   # and a row with no zero
+    assert_equals_ranking(lambda: mechanism.rule(inst, values), mechanism, inst, values)
+    assert_equals_ranking(lambda: mechanism(inst, RNG()).allocation, mechanism, inst,
+                          values[:1])
 
 
 def test_budget_rule_nudges_only_the_rows_that_overshoot():

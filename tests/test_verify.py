@@ -37,10 +37,11 @@ from privauction.verify import (_misreport_blocks, check_envy_freeness,
 RNG = lambda s=0: np.random.default_rng(s)
 
 
-def hand_built(order, k, payments):
+def hand_built(won, k, payments):
     """An outcome over a one-row allocation whose charge is its payments' sum."""
     payments = np.array([payments], dtype=float)
-    alloc = Allocation(np.array([order]), np.array([k]), payments, payments.sum(axis=1))
+    alloc = Allocation(np.array([won], dtype=bool), np.array([k]), payments,
+                       payments.sum(axis=1))
     return MechanismOutcome(0.0, alloc)
 
 
@@ -55,7 +56,7 @@ def test_ir_passes_on_fair_query_corpus():
 def test_ir_detects_constructed_failure():
     # n = 2, k = 1: agent 0 wins at eps = 1 and is paid nothing
     pop = Population(bits=[1, 0], values=[1.0, 5.0])
-    out = hand_built([0, 1], 1, [0.0, 0.0])
+    out = hand_built([1, 0], 1, [0.0, 0.0])
     rep = check_individual_rationality(out, pop, CostFamily.LINEAR)
     assert not rep.passed
     assert rep.violations[0]["delta"] == pytest.approx(-1.0)
@@ -63,7 +64,7 @@ def test_ir_detects_constructed_failure():
 
 def test_ir_vacuous_when_nothing_bought():
     pop = Population(bits=[1, 0], values=[1.0, 2.0])
-    out = hand_built([0, 1], 0, [0.0, 0.0])
+    out = hand_built([0, 0], 0, [0.0, 0.0])
     assert check_individual_rationality(out, pop, CostFamily.LINEAR).passed
 
 
@@ -71,9 +72,9 @@ def test_ir_tolerance_is_relative_to_the_payment():
     # agent 0 wins at eps = 1 (cost 1e8) and is paid one ulp less: rounding,
     # above an absolute 1e-9 but within 1e-9 of the payment; 1 less is not
     pop = Population(bits=[1, 0], values=[1e8, 2e8])
-    ulp_short = hand_built([0, 1], 1, [np.nextafter(1e8, 0.0), 0.0])
+    ulp_short = hand_built([1, 0], 1, [np.nextafter(1e8, 0.0), 0.0])
     assert check_individual_rationality(ulp_short, pop, CostFamily.LINEAR).passed
-    short = hand_built([0, 1], 1, [1e8 - 1.0, 0.0])
+    short = hand_built([1, 0], 1, [1e8 - 1.0, 0.0])
     assert not check_individual_rationality(short, pop, CostFamily.LINEAR).passed
 
 
@@ -90,7 +91,7 @@ def test_envy_free_on_mechanism_outcomes():
 
 def test_envy_detects_unequal_winner_payments():
     pop = Population(bits=[1, 1, 0], values=[1.0, 1.0, 5.0])
-    out = hand_built([0, 1, 2], 2, [2.0, 3.0, 0.0])   # eps = 1 for both winners
+    out = hand_built([1, 1, 0], 2, [2.0, 3.0, 0.0])   # eps = 1 for both winners
     assert not check_envy_freeness(out, pop, CostFamily.LINEAR).passed
 
 
@@ -103,7 +104,7 @@ def test_envy_vacuous_single_agent():
 def test_envy_tolerance_is_relative_to_the_payments():
     # agent 1 loses with a cost one ulp below the winner's 1e8 payment at
     # eps = 1: rounding, within 1e-9 of that payment; 1 below is envy
-    out = hand_built([0, 1], 1, [1e8, 0.0])
+    out = hand_built([1, 0], 1, [1e8, 0.0])
     ulp_below = Population(bits=[1, 0], values=[1.0, np.nextafter(1e8, 0.0)])
     assert check_envy_freeness(out, ulp_below, CostFamily.LINEAR).passed
     below = Population(bits=[1, 0], values=[1.0, 1e8 - 1.0])
@@ -146,7 +147,8 @@ def envy_cases(draw):
                            min_size=1, max_size=3))
     payments = [draw(st.sampled_from(levels)) for _ in range(n)]
     pop = Population(bits=np.ones(n, int), values=[draw(MAGNITUDE) for _ in range(n)])
-    return hand_built(order, k, payments), pop, draw(st.sampled_from(ALL_FAMILIES))
+    won = np.isin(np.arange(n), order[:k])
+    return hand_built(won, k, payments), pop, draw(st.sampled_from(ALL_FAMILIES))
 
 
 @settings(max_examples=300, deadline=None)
@@ -546,7 +548,7 @@ def repaid(out, payments):
     """`out` with its payments replaced and its analyst charge kept."""
     alloc = out.allocation
     return MechanismOutcome(out.estimate, Allocation(
-        alloc.order, alloc.k, np.array([payments]), alloc.charge))
+        alloc.won, alloc.k, np.array([payments]), alloc.charge))
 
 
 def beyond_tolerance(reference):
