@@ -284,10 +284,11 @@ class Allocation:
 
     In row r the k[r] agents marked in won[r] win, each at privacy level
     1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
-    charge[r].  Fails closed: every k must lie in [0, n-1], `won` must be
-    boolean and each of its rows mark exactly k[r] agents, payments and
-    charges must be finite and payments >= 0, and each charge must cover its
-    row's payments up to `_tolerance`.  The arrays are made read-only.
+    charge[r].  Fails closed: `won` and payments must be (m, n) and k and
+    charge (m,), every k must lie in [0, n-1], `won` must be boolean and
+    each of its rows mark exactly k[r] agents, payments and charges must be
+    finite and payments >= 0, and each charge must cover its row's payments
+    up to `_tolerance`.  The arrays are made read-only.
     """
 
     won: np.ndarray       # (m, n) bool: each row's winners, by agent index
@@ -297,6 +298,9 @@ class Allocation:
 
     def __post_init__(self):
         won, k, payments, charge = self.won, self.k, self.payments, self.charge
+        m = won.shape[:1]
+        if won.ndim != 2 or payments.shape != won.shape or k.shape != m or charge.shape != m:
+            raise DomainError("won and payments must be (m, n) arrays, k and charge (m,)")
         # a count is >= 0, so this bounds k to [0, n-1] as well
         if won.dtype != bool or ((won.sum(axis=1) != k) | (k >= won.shape[1])).any():
             raise DomainError("each row must mark exactly k winners, k in [0, n-1]")
@@ -363,39 +367,6 @@ def _zeros_in_index_order(keys: np.ndarray, ranked: np.ndarray) -> np.ndarray:
         run[lead] = sub[zeros & (np.cumsum(zeros, axis=1) <= lead.sum(axis=1)[:, None])]
         ranked[rows] = run
     return ranked
-
-
-#: Rows shorter than this are ranked by numpy's stable sort (timsort), which
-#: beats `_stable_argsort`'s fixed cost of ~10-15 us there; at 1,400 keys
-#: with heavy ties the two take the same time (2-core AVX-512 VM).  Only the
-#: unilateral forms rank (`mechanisms._positions`, one row of n truthful
-#: keys); the allocation rules select the k cheapest instead (`_k_cheapest`).
-_SIMD_SORT_MIN = 1400
-
-
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Exactly `np.argsort(keys, axis=-1, kind="stable")`, computed by
-    numpy's default (SIMD) sort on rows of `_SIMD_SORT_MIN` keys or more.
-
-    The default sort ranks the keys right but puts equal keys in any order.
-    If no two adjacent ranked keys are equal, its order is the stable one.
-    Otherwise each run of equal keys (-0.0 with 0.0, NaN with NaN) gets a
-    group number, and sorting the distinct integers group * n + index puts
-    every run in index order.
-    """
-    n = keys.shape[-1]
-    if n < _SIMD_SORT_MIN:
-        return np.argsort(keys, axis=-1, kind="stable")
-    order = np.argsort(keys, axis=-1)
-    ranked = np.take_along_axis(keys, order, axis=-1)
-    before = ranked[..., :-1]
-    # NaNs rank last, so a NaN is followed only by NaNs, its equals here
-    differs = (ranked[..., 1:] != before) & (before == before)
-    if differs.all():
-        return order
-    group = np.zeros(keys.shape, dtype=np.intp)
-    np.cumsum(differs, axis=-1, out=group[..., 1:])
-    return np.sort(group * n + order, axis=-1) % n
 
 
 @dataclass(frozen=True, eq=False)

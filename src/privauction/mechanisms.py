@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_nonneg_finite,
-                   _k_cheapest, _stable_argsort, _zeros_in_index_order, cost_eval)
+                   _k_cheapest, _zeros_in_index_order, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -69,9 +69,9 @@ def _reports(inst, values) -> np.ndarray:
 
 
 def _kept(inst, key, build):
-    """`build()`, kept per `key` in the instance's `__dict__` under
-    `_allocations`, as a `cached_property` would be, out of reach of
-    equality, hash and repr.
+    """`build()`, kept per `key` in the instance's `__dict__` under `_kept`,
+    as a `cached_property` would be, out of reach of equality, hash and
+    repr: the truthful allocations and each unilateral form's set-up.
 
     Instances are frozen, their population arrays read-only, and
     `dataclasses.replace` builds a new instance, so the kept result cannot go
@@ -79,11 +79,11 @@ def _kept(inst, key, build):
     call.
     """
     try:
-        return inst.__dict__["_allocations"][key]
+        return inst.__dict__["_kept"][key]
     except KeyError:
         pass
     kept = build()
-    inst.__dict__.setdefault("_allocations", {})[key] = kept
+    inst.__dict__.setdefault("_kept", {})[key] = kept
     return kept
 
 
@@ -139,25 +139,31 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     return Allocation(won, k, payments, total)
 
 
-def _positions(keys: np.ndarray, agents, reports):
-    """The keys in stable ascending order (ties by index), each agent's
-    position s in that order, and the position p that agent `agents[j]`'s
-    report `reports[j]` takes among the others' keys, ties by index.
-
-    One `searchsorted` on composite keys (the count of smaller keys * n +
-    agent index), which ascend along the order, counts the agents ranked
-    before the report; the agent's own key is then taken out of that count.
-    """
+def _ranking(keys: np.ndarray):
+    """The truthful keys in stable ascending order (ties by index), each
+    agent's position in that order, and the composite keys (the count of
+    smaller keys * n + agent index), which ascend along the order."""
     n = keys.size
-    order = _stable_argsort(keys)
+    order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     s = np.empty(n, dtype=np.intp)
     s[order] = np.arange(n)
+    return ordered, s, np.searchsorted(ordered, ordered) * n + order
+
+
+def _positions(ordered, s, composite, agents, reports):
+    """From `_ranking`'s tables, agent `agents[j]`'s position s in the
+    truthful order and the position p that her report `reports[j]` takes
+    among the others' keys, ties by index.
+
+    One `searchsorted` on the composite keys counts the agents ranked before
+    the report; the agent's own key is then taken out of that count.
+    """
+    s = s[agents]
     below = np.searchsorted(ordered, reports)   # keys below each report
     tied = ordered.take(below, mode="clip") == reports
-    composite = np.searchsorted(ordered, ordered) * n + order
-    p = np.searchsorted(composite, below * n + np.where(tied, agents, 0))
-    return ordered, s[agents], p - (keys[agents] < reports)
+    p = np.searchsorted(composite, below * ordered.size + np.where(tied, agents, 0))
+    return s, p - (ordered[s] < reports)
 
 
 def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
@@ -170,20 +176,28 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
     report of her row is the truthful sorted value at k-2, k-1 or k, or her
     own; so three feasibility diagonals over k, their running last feasible
     k, and one cost of her own give the largest feasible k in O(1) a row.
+    All but her own cost, the ranking of the values included, is built once
+    per instance (`_kept`).
     """
     model, budget = inst.model, inst.budget
     reports = _check_nonneg_finite("values", reports)
     n, last_k = inst.pop.n, inst.pop.n - 1
-    v_sorted, s, p = _positions(inst.pop.values, agents, reports)
-    ks = np.arange(n)                  # k = 0 is never feasible
-    eps = 1.0 / (n - ks)
-    cap = budget / np.maximum(ks, 1)
-    # last[d + 1, k]: the largest k' <= k that is feasible when the k'-th
-    # cheapest report is the truthful sorted value at k' - 1 + d
-    at = ks - 1 + np.arange(-1, 2)[:, None]
-    fits = (ks >= 1) & (at >= 0)
-    fits &= cost_eval(model, v_sorted.take(at, mode="clip"), eps) <= cap
-    last = np.maximum.accumulate(np.where(fits, ks, 0), axis=1)
+
+    def setup():
+        v_sorted, s, composite = _ranking(inst.pop.values)
+        ks = np.arange(n)                  # k = 0 is never feasible
+        eps = 1.0 / (n - ks)
+        cap = budget / np.maximum(ks, 1)
+        # last[d + 1, k]: the largest k' <= k that is feasible when the k'-th
+        # cheapest report is the truthful sorted value at k' - 1 + d
+        at = ks - 1 + np.arange(-1, 2)[:, None]
+        fits = (ks >= 1) & (at >= 0)
+        fits &= cost_eval(model, v_sorted.take(at, mode="clip"), eps) <= cap
+        last = np.maximum.accumulate(np.where(fits, ks, 0), axis=1)
+        return v_sorted, s, composite, eps, cap, last
+
+    v_sorted, s, composite, eps, cap, last = _kept(inst, _fair_query_unilateral, setup)
+    s, p = _positions(v_sorted, s, composite, agents, reports)
 
     def best(d, lo, hi):
         found = last[d + 1, hi]
@@ -248,14 +262,16 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     The price, the (k+1)-th lowest unit cost of her row, is the others' k-th
     if she wins, her own if p = k, and the others' (k+1)-th otherwise.
     Fails closed as the rule's `Allocation` does: a row whose charge k *
-    price is not finite raises `DomainError`.
+    price is not finite raises `DomainError`.  The truthful unit costs are
+    ranked once per instance (`_kept`).
     """
     reports = _check_nonneg_finite("values", reports)
     n, k = inst.pop.n, inst.winner_count
     eps = 1.0 / (n - k)
-    w = cost_eval(inst.model, inst.pop.values, np.full(n, eps))
+    w_sorted, s, composite = _kept(inst, _min_cost_unilateral, lambda: _ranking(
+        cost_eval(inst.model, inst.pop.values, np.full(n, eps))))
     own = cost_eval(inst.model, reports, np.full(reports.size, eps))
-    w_sorted, s, p = _positions(w, agents, own)
+    s, p = _positions(w_sorted, s, composite, agents, own)
     at = np.where(p < k, k - (k <= s), k + (k >= s))
     price = np.where(p == k, own, w_sorted.take(at, mode="clip"))
     with np.errstate(over="ignore"):

@@ -180,9 +180,10 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
     (`_misreport_blocks`), each block led by its agents' own values,
     and each block goes through the mechanism's unilateral form,
     `mechanism.unilateral`, a pivot sweep over the deviating agent's rank
-    that costs O(1) a candidate (Archer & Tardos, FOCS'01), so memory stays
-    O(`_BLOCK_CELLS` + n).  Its payments are upper bounds: `fair_query`'s
-    budget nudge, which only lowers a price, is left out.  Only the
+    that costs O(log n) a candidate after a set-up it builds once per
+    instance (Archer & Tardos, FOCS'01), so memory stays O(`_BLOCK_CELLS` +
+    n).  Its payments are upper bounds: `fair_query`'s budget nudge, which
+    only lowers a price, is left out.  Only the
     candidates whose bound beats the truthful utility by more than `TOL` go
     through the allocation rule, `mechanism.rule`, as rows of report
     matrices of at most `_BLOCK_CELLS` cells, and their exact utilities

@@ -303,6 +303,18 @@ def test_allocation_rejects_a_mask_that_is_not_boolean():
         Allocation(np.array([[2, 0, 0]]), np.array([2]), np.zeros((1, 3)), np.zeros(1))
 
 
+@pytest.mark.parametrize("won, k, payments, charge", [
+    ([[1, 0, 0]], [1, 1], np.zeros((2, 3)), np.zeros(2)),   # one mask row, two k
+    ([1, 0, 0], [1], np.zeros((1, 3)), np.zeros(1)),         # a 1-d mask
+    ([[1, 0, 0]], [1], np.zeros((1, 2)), np.zeros(1)),       # payments too narrow
+    ([[1, 0, 0]], [1], np.zeros((1, 3)), np.zeros(2)),       # two charges
+    ([[1, 0, 0]], [[1]], np.zeros((1, 3)), np.zeros(1)),     # a 2-d k
+], ids=["k-rows", "1-d-mask", "payments-columns", "charge-rows", "2-d-k"])
+def test_allocation_rejects_arrays_whose_shapes_disagree(won, k, payments, charge):
+    with pytest.raises(DomainError, match=r"\(m, n\)"):
+        Allocation(np.array(won, dtype=bool), np.array(k), payments, charge)
+
+
 def test_outcome_needs_a_one_row_allocation():
     alloc = Allocation(np.zeros((2, 2), dtype=bool), np.array([0, 0]),
                        np.zeros((2, 2)), np.zeros(2))

@@ -231,8 +231,8 @@ def test_kept_allocation_leaves_equality_and_hash_alone():
         before = hash(inst)
         mechanism(inst, RNG())
         assert hash(inst) == before == hash(twin)
-        assert inst == twin and "_allocations" in vars(inst) and "_allocations" not in vars(twin)
-        assert "_allocations" not in repr(inst)
+        assert inst == twin and "_kept" in vars(inst) and "_kept" not in vars(twin)
+        assert "_kept" not in repr(inst)
 
 
 def test_overflowing_rule_raises_on_every_call(cost_evals):
@@ -244,7 +244,7 @@ def test_overflowing_rule_raises_on_every_call(cost_evals):
     for _ in range(2):
         with pytest.raises(DomainError):
             min_cost_auction(inst, RNG())
-    assert len(cost_evals) == 2 and "_allocations" not in vars(inst)
+    assert len(cost_evals) == 2 and "_kept" not in vars(inst)
 
 
 def test_repeated_control_calls_evaluate_its_rule_once(monkeypatch):
@@ -264,11 +264,16 @@ def test_repeated_control_calls_evaluate_its_rule_once(monkeypatch):
 def test_fair_query_and_the_control_keep_one_allocation_each():
     _, inst = _both_instances()[0]
     fair, control = fair_query(inst, RNG(3)), pay_your_bid_control(inst, RNG(3))
-    assert len(vars(inst)["_allocations"]) == 2
+    assert len(vars(inst)["_kept"]) == 2
     assert fair.allocation is not control.allocation
     assert np.array_equal(fair.winners, control.winners)
     assert fair.estimate == control.estimate
     assert not np.array_equal(fair.payments, control.payments)
+    # their unilateral forms share one set-up, kept beside the allocations
+    agents = np.arange(inst.pop.n)
+    fair_query.unilateral(inst, agents, inst.pop.values)
+    pay_your_bid_control.unilateral(inst, agents, inst.pop.values)
+    assert len(vars(inst)["_kept"]) == 3
 
 
 def test_dir_lists_the_kept_allocations():
@@ -276,4 +281,4 @@ def test_dir_lists_the_kept_allocations():
         mechanism(inst, RNG())
         if isinstance(inst, BudgetInstance):
             pay_your_bid_control(inst, RNG())
-        assert "_allocations" in dir(inst)
+        assert "_kept" in dir(inst)

@@ -20,6 +20,7 @@ from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
                               DomainError, MechanismOutcome, Population, TOL,
                               cost_eval)
 from privauction.dp import ACCURACY_CONST
+from privauction import mechanisms
 from privauction import verify as verify_mod
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
@@ -234,19 +235,24 @@ def grid_for(values, i):
     return np.unique(cands)
 
 
+def misreport_run(mechanism, inst, i, v_prime):
+    """Oracle: a full run of `mechanism` on a copy of `inst` in which agent i
+    alone reports v_prime."""
+    reported = inst.pop.values.copy()
+    reported[i] = v_prime
+    return mechanism(dataclasses.replace(inst, pop=with_values(inst.pop, reported)), RNG())
+
+
 def reference_check_truthfulness(mechanism, inst):
     """Oracle: the per-misreport loop, one full mechanism run per grid
     candidate, that `check_truthfulness` batches through the allocation rule."""
     pop = inst.pop
-    rng = RNG()
-    truthful = mechanism(inst, rng)
+    truthful = mechanism(inst, RNG())
     true_util = truthful.payments - cost_eval(inst.model, pop.values, truthful.epsilons)
     violations = []
     for i in range(pop.n):
         for v_prime in grid_for(pop.values, i):
-            reported = pop.values.copy()
-            reported[i] = v_prime
-            out = mechanism(dataclasses.replace(inst, pop=with_values(pop, reported)), rng)
+            out = misreport_run(mechanism, inst, i, v_prime)
             util = out.payments[i] - cost_eval(inst.model, pop.values[i], out.epsilons[i])
             if util > true_util[i] + TOL:
                 violations.append({"agent": int(i), "datum": float(v_prime),
@@ -355,6 +361,34 @@ def test_truthfulness_is_the_same_across_block_boundaries(monkeypatch, cells):
     reports = [check_truthfulness(mech, inst).to_dict() for mech, inst in cases]
     assert any(not rep["pass"] for rep in reports)   # the negative control
     assert reports == [batched_check_truthfulness(mech, inst) for mech, inst in cases]
+
+
+def test_unilateral_set_up_is_built_once_per_instance(monkeypatch):
+    # one agent per block: 16 unilateral calls per check, and the control
+    # shares fair_query's set-up through fair_query.unilateral
+    built = []
+    ranking = mechanisms._ranking
+
+    def counted(keys):
+        built.append(keys)
+        return ranking(keys)
+
+    monkeypatch.setattr(mechanisms, "_ranking", counted)
+    monkeypatch.setattr(verify_mod, "_BLOCK_CELLS", 17)
+    cases = block_corpus(16, seed=33, count=1)
+    assert len(list(_misreport_blocks(cases[0][1].pop.values, 17))) == 16
+    for mech, inst in cases:
+        check_truthfulness(mech, inst)
+    assert len(built) == len({id(inst) for _, inst in cases}) == 6
+
+    # a replaced instance gets fresh tables: at budget 0 nobody wins
+    inst = cases[0][1]
+    agents, values = np.arange(inst.pop.n), inst.pop.values
+    assert (fair_query.unilateral(inst, agents, values)[0] > 0).all()
+    assert len(built) == 6
+    broke = dataclasses.replace(inst, budget=0.0)
+    assert (fair_query.unilateral(broke, agents, values)[0] == 0).all()
+    assert len(built) == 7
 
 
 @pytest.mark.parametrize("mechanism", [fair_query, min_cost_auction, pay_your_bid_control],
