@@ -24,7 +24,7 @@ for t in (0.0, 2.5, 5.0, 7.5, 10.0):
     # the allocation is deterministic: run the auction once, then redraw
     # only the Laplace noise per trial
     out = fair_query(inst, trial_stream(0, 0))
-    errors = trial_estimates(EstimatorPlan(pop, out.winners), 0, TRIALS) - pop.total
+    errors = trial_estimates(EstimatorPlan(pop, out.allocation), 0, TRIALS) - pop.total
     print(f"{t:>10} {pop.total:>7} {out.winner_count:>3} {errors.mean():>11.2f}")
 
 print("\nThe bias flips sign across the threshold sweep: cheap sellers'")

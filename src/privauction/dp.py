@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DomainError, Population
+from .core import Allocation, DomainError, Population, _check_integer
 
 #: ln 3, the tail threshold multiplier at which the two-sided Laplace tail
 #: mass is exactly 1/3.
@@ -77,39 +77,29 @@ def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorPlan:
-    """The noisy sum over a population's winners, all but its noise.
+    """The noisy sum over a one-row allocation's winners, all but its noise.
 
     The estimate is `noiseless` + Laplace(noise_scale), where noiseless =
-    the winners' bit sum + offset, noise_scale = n - |winners| and offset =
+    the winners' bit sum + offset, noise_scale = n - k and offset =
     noise_scale / 2, each computed here once.  With no winners it is n/2 +
-    Laplace(n).  `winners` may be given as any iterable of agent indices and
-    is stored as a read-only index array.
+    Laplace(n).  The `Allocation` has checked its winners; the plan rejects
+    one that is not a single row over the population's n agents.
     """
 
     pop: Population = field(repr=False)
-    winners: np.ndarray
+    allocation: Allocation = field(repr=False)
     noise_scale: float = field(init=False)
     offset: float = field(init=False)
     noiseless: float = field(init=False)
 
     def __post_init__(self):
-        n, winners = self.pop.n, self.winners
-        idx = np.array(winners if isinstance(winners, np.ndarray) else list(winners),
-                       dtype=np.intp)
-        if idx.size > n - 1:
-            raise DomainError("estimator plan needs |winners| <= n-1")
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise DomainError("winner indices out of range")
-        seen = np.zeros(n, dtype=bool)
-        seen[idx] = True
-        if np.count_nonzero(seen) != idx.size:
-            raise DomainError("winner indices must be distinct")
-        idx.setflags(write=False)
-        noise_scale = float(n - idx.size)
+        won = self.allocation.won
+        if won.shape != (1, self.pop.n):
+            raise DomainError("estimator plan needs a one-row allocation over the n agents")
+        noise_scale = float(self.pop.n - self.allocation.k[0])
         offset = noise_scale / 2.0
-        for name, value in (("winners", idx), ("noise_scale", noise_scale),
-                            ("offset", offset),
-                            ("noiseless", float(self.pop.bits[idx].sum()) + offset)):
+        for name, value in (("noise_scale", noise_scale), ("offset", offset),
+                            ("noiseless", float(self.pop.bits[won[0]].sum()) + offset)):
             object.__setattr__(self, name, value)
 
 
@@ -143,12 +133,13 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
 
     Counter-based: Philox keyed by the master seed (mod 2**64) with the trial
     index in the counter's high word, so streams never overlap and
-    derivation does not depend on execution order.
+    derivation does not depend on execution order.  Both arguments must be
+    integers, not bools.
     """
-    if trial < 0:
+    key = int(_check_integer("seed", seed)) & ((1 << 64) - 1)
+    if _check_integer("trial index", trial) < 0:
         raise DomainError("trial index must be >= 0")
-    bitgen = np.random.Philox(_PhiloxKey(int(seed) & ((1 << 64) - 1)),
-                              counter=[0, 0, 0, int(trial)])
+    bitgen = np.random.Philox(_PhiloxKey(key), counter=[0, 0, 0, int(trial)])
     return np.random.Generator(bitgen)
 
 

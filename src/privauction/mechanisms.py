@@ -71,7 +71,7 @@ def _reports(inst, values) -> np.ndarray:
 def _kept(inst, key, build):
     """`build()`, kept per `key` in the instance's `__dict__` under `_kept`,
     as a `cached_property` would be, out of reach of equality, hash and
-    repr: the truthful allocations and each unilateral form's set-up.
+    repr: the truthful estimator plans and each unilateral form's set-up.
 
     Instances are frozen, their population arrays read-only, and
     `dataclasses.replace` builds a new instance, so the kept result cannot go
@@ -87,21 +87,18 @@ def _kept(inst, key, build):
     return kept
 
 
-def _truthful(inst, rule) -> tuple[Allocation, EstimatorPlan]:
-    """An instance's allocation by `rule` on its own reports as a one-row
-    matrix and the estimator plan of that row's winners, kept per rule
-    (`_kept`)."""
-    def build():
-        alloc = rule(inst, inst.pop.values[None, :])
-        return alloc, EstimatorPlan(inst.pop, np.flatnonzero(alloc.won[0]))
-    return _kept(inst, rule, build)
+def _truthful(inst, rule) -> EstimatorPlan:
+    """The estimator plan of an instance's allocation by `rule` on its own
+    reports as a one-row matrix, kept per rule (`_kept`)."""
+    return _kept(inst, rule, lambda: EstimatorPlan(
+        inst.pop, rule(inst, inst.pop.values[None, :])))
 
 
 def _outcome(inst, rule, rng: np.random.Generator) -> MechanismOutcome:
     """A mechanism run: the instance's kept allocation by `rule` and one
     noisy sum over its winners' bits."""
-    alloc, plan = _truthful(inst, rule)
-    return MechanismOutcome(laplace_estimator(plan, rng), alloc)
+    plan = _truthful(inst, rule)
+    return MechanismOutcome(laplace_estimator(plan, rng), plan.allocation)
 
 
 def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:

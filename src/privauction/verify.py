@@ -15,8 +15,8 @@ from typing import Callable, Iterable, List, Union
 import numpy as np
 
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
-                   MechanismOutcome, Population, _check_nonneg_finite,
-                   _tolerance, cost_eval)
+                   MechanismOutcome, Population, _check_integer,
+                   _check_nonneg_finite, _tolerance, cost_eval)
 from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
                  trial_estimates, trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, _kept, _truthful,
@@ -260,6 +260,8 @@ def check_necessity(epsilons, alpha: float) -> bool:
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     n = epsilons.size
+    if n < 1:
+        raise DomainError("necessity check needs n >= 1 privacy levels")
     level = 1.0 / (alpha * n)
     enough = np.count_nonzero(epsilons >= level - _tolerance(level))
     need = (1.0 - alpha) * n
@@ -310,6 +312,7 @@ def oracle_max_winners_envy_free(pop: Population, model: CostFamily,
     """Largest winner count any truthful IR envy-free fixed-price mechanism
     can afford: brute force over k, where the cheapest IR-compatible fixed
     price for the k cheapest sellers is the k-th cheapest seller's cost."""
+    budget = _check_nonneg_finite("budget", budget)
     n = pop.n
     v_sorted = np.sort(pop.values, kind="stable")
     ks = np.arange(1, n)
@@ -328,7 +331,7 @@ def oracle_min_payment_k_units(pop: Population, model: CostFamily, k: int) -> fl
     be paid at least that much.
     """
     n = pop.n
-    if not (1 <= k <= n - 1):
+    if not (1 <= _check_integer("k", k) <= n - 1):
         raise DomainError("k must satisfy 1 <= k <= n-1")
     w = np.sort(cost_eval(model, pop.values, 1.0 / (n - k)), kind="stable")
     return float(k * w[k])
@@ -347,11 +350,12 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
     repositions one Generator per trial), which is what running the mechanism
     with that stream returns.
     """
-    if trials < 1:
+    error_bound = _check_nonneg_finite("error_bound", error_bound)
+    if _check_integer("trials", trials) < 1:
         raise DomainError("trials must be >= 1")
     pop = instance.pop
     out = mechanism(instance, trial_stream(seed, 0))
-    estimates = trial_estimates(EstimatorPlan(pop, out.winners), seed, trials)
+    estimates = trial_estimates(EstimatorPlan(pop, out.allocation), seed, trials)
     return int(np.count_nonzero(np.abs(estimates - pop.total) >= error_bound)) / trials
 
 
@@ -397,11 +401,11 @@ def pay_your_bid_control(inst: BudgetInstance,
 
     Draws `fair_query`'s estimate; the allocation is `fair_query`'s kept one
     (`_truthful`), `_repriced` once per instance and kept beside it, under
-    this function rather than a rule, as `_truthful` keeps (allocation,
-    plan) pairs under rules."""
+    this function rather than a rule, as `_truthful` keeps plans under
+    rules."""
     estimate = fair_query(inst, rng).estimate
     alloc = _kept(inst, pay_your_bid_control, lambda: _repriced(
-        inst, inst.pop.values[None, :], _truthful(inst, fair_query.rule)[0]))
+        inst, inst.pop.values[None, :], _truthful(inst, fair_query.rule).allocation))
     return MechanismOutcome(estimate, alloc)
 
 

@@ -11,7 +11,8 @@ from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
                               generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
-from privauction.verify import impossibility_bound
+from privauction.verify import (estimate_accuracy, impossibility_bound,
+                               oracle_max_winners_envy_free)
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -88,6 +89,10 @@ ADMISSIBILITY_ENTRY_POINTS = {
     "impossibility-bound": lambda bad: impossibility_bound([1.0, bad]),
     "point-values": lambda bad: PopulationSpec(
         n=2, values={"dist": "point", "points": [1.0, bad]}, bits=HALF),
+    "estimate-accuracy-error-bound": lambda bad: estimate_accuracy(
+        fair_query, BudgetInstance(POP3, CostFamily.LINEAR, 2.0), bad, 10, 0),
+    "oracle-max-winners-budget": lambda bad: oracle_max_winners_envy_free(
+        POP3, CostFamily.LINEAR, bad),
 }
 
 

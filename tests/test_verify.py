@@ -677,6 +677,11 @@ def test_necessity_boundary():
     assert not check_necessity(np.full(n, np.nan), alpha)
 
 
+def test_necessity_rejects_an_empty_population():
+    with pytest.raises(DomainError, match="n >= 1"):
+        check_necessity([], 0.5)
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -757,6 +762,13 @@ def test_oracle_min_payment_equal_values():
     assert oracle_min_payment_k_units(pop, CostFamily.QUADRATIC, k) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("k", [1.5, True, 2.0], ids=["fraction", "bool", "integral-float"])
+def test_oracle_min_payment_rejects_a_non_integer_k(k):
+    pop = Population(bits=np.ones(4, int), values=np.arange(1.0, 5.0))
+    with pytest.raises(DomainError, match="must be an integer"):
+        oracle_min_payment_k_units(pop, CostFamily.LINEAR, k)
+
+
 def test_oracle_matches_min_cost_auction():
     for inst in random_instances(150, seed=8, kind="accuracy"):
         out = min_cost_auction(inst, RNG())
@@ -788,6 +800,14 @@ def test_estimate_accuracy_deterministic():
     a = estimate_accuracy(fair_query, inst, 2.0, trials=200, seed=5)
     b = estimate_accuracy(fair_query, inst, 2.0, trials=200, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 50.0], ids=["fraction", "bool", "integral-float"])
+def test_estimate_accuracy_rejects_non_integer_trials(trials):
+    pop = Population(bits=[1, 0, 1, 1], values=[1.0, 2.0, 4.0, 8.0])
+    inst = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=2.0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        estimate_accuracy(fair_query, inst, 2.0, trials=trials, seed=0)
 
 
 # --- suite ------------------------------------------------------------------
