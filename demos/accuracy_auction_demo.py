@@ -19,7 +19,7 @@ inst = AccuracyInstance(pop=pop, model=CostFamily.LINEAR, alpha=alpha)
 
 out = min_cost_auction(inst, np.random.default_rng(0))
 print(f"target: estimate within {inst.alpha * pop.n:.2f} of s with prob >= 2/3")
-print(f"winners       = {sorted(out.winners)}")
+print(f"winners       = {np.flatnonzero(out.allocation.won[0]).tolist()}")
 print(f"unit price    = {out.payments.max()}  (the 9th-lowest unit cost)")
 print(f"total payment = {out.total_payment}")
 

@@ -17,7 +17,7 @@ inst = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=2.0)
 
 out = fair_query(inst, np.random.default_rng(0))
 print(f"true count s = {pop.total}")
-print(f"winners      = {sorted(out.winners)}")
+print(f"winners      = {np.flatnonzero(out.allocation.won[0]).tolist()}")
 print(f"payments     = {out.payments}")
 print(f"eps per agent= {out.epsilons}")
 print(f"estimate     = {out.estimate:.3f}  (noise scale {out.noise_scale})")

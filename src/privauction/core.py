@@ -21,8 +21,8 @@ import numpy as np
 #: Absolute tolerance for equality comparisons on real quantities.
 TOL = 1e-9
 
-#: The error for a payment or charge that is not finite and >= 0.
-_OVERFLOW = "payments and analyst charge must be finite, payments >= 0 (a cost overflowed)"
+#: The error for payments that are not >= 0 or whose total is not finite.
+_OVERFLOW = "payments and their total must be finite, payments >= 0 (a cost overflowed)"
 
 
 def _tolerance(reference):
@@ -283,36 +283,30 @@ class Allocation:
     an (m, n) matrix of reports.
 
     In row r the k[r] agents marked in won[r] win, each at privacy level
-    1/(n - k[r]); agent j is paid payments[r, j] and the analyst is charged
-    charge[r].  Fails closed: `won` and payments must be (m, n) and k and
-    charge (m,), every k must lie in [0, n-1], `won` must be boolean and
-    each of its rows mark exactly k[r] agents, payments and charges must be
-    finite and payments >= 0, and each charge must cover its row's payments
-    up to `_tolerance`.  The arrays are made read-only.
+    1/(n - k[r]), and agent j is paid payments[r, j].  Fails closed:
+    `won` and payments must be (m, n) and k (m,), every k must lie in
+    [0, n-1], `won` must be boolean and each of its rows mark exactly k[r]
+    agents, and payments must be >= 0 with finite row sums.  The arrays are
+    made read-only.
     """
 
     won: np.ndarray       # (m, n) bool: each row's winners, by agent index
     k: np.ndarray         # (m,): winner counts, 0 <= k <= n-1
     payments: np.ndarray  # (m, n): per original agent index
-    charge: np.ndarray    # (m,)
 
     def __post_init__(self):
-        won, k, payments, charge = self.won, self.k, self.payments, self.charge
-        m = won.shape[:1]
-        if won.ndim != 2 or payments.shape != won.shape or k.shape != m or charge.shape != m:
-            raise DomainError("won and payments must be (m, n) arrays, k and charge (m,)")
+        won, k, payments = self.won, self.k, self.payments
+        if won.ndim != 2 or payments.shape != won.shape or k.shape != won.shape[:1]:
+            raise DomainError("won and payments must be (m, n) arrays, k (m,)")
         # a count is >= 0, so this bounds k to [0, n-1] as well
         if won.dtype != bool or ((won.sum(axis=1) != k) | (k >= won.shape[1])).any():
             raise DomainError("each row must mark exactly k winners, k in [0, n-1]")
         with np.errstate(over="ignore"):   # an overflowed sum is rejected next
             total = payments.sum(axis=1)
         # payments >= 0 whose row sums are finite are finite themselves
-        if not ((payments >= 0).all() and np.isfinite(total).all()
-                and np.isfinite(charge).all()):
+        if not ((payments >= 0).all() and np.isfinite(total).all()):
             raise DomainError(_OVERFLOW)
-        if (charge < total - _tolerance(total)).any():
-            raise DomainError("analyst charge must cover the payments")
-        for arr in (won, k, payments, charge):
+        for arr in (won, k, payments):
             arr.setflags(write=False)
 
     @functools.cached_property
@@ -346,36 +340,14 @@ def _k_cheapest(keys: np.ndarray, k: np.ndarray, kth: np.ndarray) -> np.ndarray:
     return won
 
 
-def _zeros_in_index_order(keys: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-    """`ranked`, the rows of `keys` (each >= 0, none NaN) ranked by
-    `np.sort` or `np.partition`, with each row's leading zeros rewritten, in
-    place, as the row's first zeros in index order.
-
-    -0.0 and 0.0 are the only such keys that are equal but not identical, and
-    numpy's sort and partition put them in any order.  After the rewrite,
-    every position up to a row's first nonzero key holds, byte for byte,
-    the key that the stable order (key, then index) puts there, and so does
-    every later position of a sorted row.
-    """
-    first = ranked[:, 0]
-    if not first.all():
-        rows = np.flatnonzero(first == 0)
-        run = ranked[rows]
-        lead = np.logical_and.accumulate(run == 0, axis=1)
-        sub = keys[rows]
-        zeros = sub == 0
-        run[lead] = sub[zeros & (np.cumsum(zeros, axis=1) <= lead.sum(axis=1)[:, None])]
-        ranked[rows] = run
-    return ranked
-
-
 @dataclass(frozen=True, eq=False)
 class MechanismOutcome:
     """What a mechanism run produced: the random estimate and the
     deterministic one-row `Allocation` it was drawn for.
 
-    Payments, privacy levels and winners are read from the allocation's
-    only row, per original agent index; the allocation has validated them.
+    Payments, privacy levels and the winner count are read from the
+    allocation's only row, per original agent index; the allocation has
+    validated them.
     """
 
     estimate: float
@@ -390,10 +362,6 @@ class MechanismOutcome:
         return self.allocation.payments[0]
 
     @property
-    def analyst_charge(self) -> float:
-        return float(self.allocation.charge[0])
-
-    @property
     def winner_count(self) -> int:
         return int(self.allocation.k[0])
 
@@ -401,10 +369,6 @@ class MechanismOutcome:
     def noise_scale(self) -> float:
         """n - k, the Laplace scale of the estimate."""
         return float(self.allocation.won.shape[1] - self.winner_count)
-
-    @property
-    def winners(self) -> frozenset:
-        return frozenset(np.flatnonzero(self.allocation.won[0]).tolist())
 
     @property
     def epsilons(self) -> np.ndarray:

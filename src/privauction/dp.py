@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Allocation, DomainError, Population, _check_integer
+from .core import Allocation, DomainError, Population, _check_integer, _check_real
 
 #: ln 3, the tail threshold multiplier at which the two-sided Laplace tail
 #: mass is exactly 1/3.
@@ -66,9 +66,13 @@ def lap_density(scale: float, x):
 
 def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
     """Worst-case output-density ratio between two noisy-sum runs whose
-    deterministic parts differ by |shift|: exp(|shift| / noise_scale)."""
+    deterministic parts differ by |shift|: exp(|shift| / noise_scale).
+    `DomainError` unless the shift is a finite number, of either sign."""
     noise_scale = _check_scale(noise_scale)
-    return math.exp(abs(float(shift)) / noise_scale)
+    shift = _check_real("shift", shift)
+    if not math.isfinite(shift):
+        raise DomainError(f"shift must be finite, got {shift!r}")
+    return math.exp(abs(shift) / noise_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +177,11 @@ def trial_estimates(plan: EstimatorPlan, seed: int, trials: int) -> np.ndarray:
 
     Payments and privacy levels are deterministic, so a mechanism run with
     that stream returns the same estimate; callers allocate once and draw
-    only the noise per trial.
+    only the noise per trial.  `DomainError` unless `trials` is an integer
+    >= 0.
     """
+    if _check_integer("trials", trials) < 0:
+        raise DomainError("trials must be >= 0")
     noiseless, scale = plan.noiseless, plan.noise_scale
     return np.array([noiseless + lap_sample(scale, rng)
                      for rng in _trial_streams(seed, trials)])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_nonneg_finite,
-                   _k_cheapest, _zeros_in_index_order, cost_eval)
+                   _k_cheapest, cost_eval)
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 
@@ -106,7 +106,7 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     model, budget = inst.model, inst.budget
     values = _reports(inst, values)
     m, n = values.shape
-    v_sorted = _zeros_in_index_order(values, np.sort(values, axis=-1))
+    v_sorted = np.sort(values, axis=-1)
 
     if n < 2:   # no k >= 1 leaves a seller out
         k, price, kth = np.zeros(m, dtype=np.intp), np.zeros(m), np.full(m, -np.inf)
@@ -119,21 +119,20 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
             model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
         k = ((last_in <= cap) * ks).max(axis=1)   # the largest feasible k, 0 if none
         at = np.arange(m), k - 1   # a row with k = 0 pays its price to no one
-        price = np.minimum(cap, first_out)[at]
+        # + 0.0: a zero price is +0.0, whatever order the sort gave -0.0 and 0.0
+        price = np.minimum(cap, first_out)[at] + 0.0
         kth = np.where(k > 0, v_sorted[at], -np.inf)   # the k-th cheapest report
 
     won = _k_cheapest(values, k, kth)
     payments = np.where(won, price[:, None], 0.0)
-    total = payments.sum(axis=1)
     # the budget constraint is exact; nudge a row's price down by ulps while
     # rounding in budget/k or the summation pushes its total over
-    over = total > budget
+    over = payments.sum(axis=1) > budget
     while over.any():
         price[over] = np.nextafter(price[over], 0.0)
         payments = np.where(won, price[:, None], 0.0)
-        total = payments.sum(axis=1)
-        over = total > budget
-    return Allocation(won, k, payments, total)
+        over = payments.sum(axis=1) > budget
+    return Allocation(won, k, payments)
 
 
 def _ranking(keys: np.ndarray):
@@ -213,7 +212,7 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
     # the first excluded report: hers, or the truthful sorted value at
     excluded = np.where(k < p, k + (k >= s), k - (k <= s))
     first_out = np.where(k == p, reports, v_sorted.take(excluded, mode="clip"))
-    price = np.where(k > 0, np.minimum(cap[k], cost_eval(model, first_out, eps[k])), 0.0)
+    price = np.where(k > 0, np.minimum(cap[k], cost_eval(model, first_out, eps[k])), 0.0) + 0.0
     won = p < k
     return k, np.where(won, price, 0.0), np.where(won, eps[k], 0.0), price
 
@@ -239,16 +238,16 @@ def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
         raise DomainError("accuracy target unattainable: winner count would reach n")
     w = cost_eval(inst.model, values, np.full(n, 1.0 / (n - k)))
     # one kth: numpy partitions around a sequence of them several times slower
-    ranked = _zeros_in_index_order(w, np.partition(w, k, axis=-1))
-    price = ranked[:, k].copy()   # the (k+1)-th lowest unit cost
+    ranked = np.partition(w, k, axis=-1)
+    price = ranked[:, k] + 0.0   # the (k+1)-th lowest unit cost, a zero as +0.0
     kth = ranked[:, :k].max(axis=1)
     del ranked   # free the partitioned copy before the payments are built
+    with np.errstate(over="ignore"):
+        if not np.isfinite(k * price).all():
+            raise DomainError(_OVERFLOW)
     ks = np.full(m, k)
     won = _k_cheapest(w, ks, kth)
-    payments = np.where(won, price[:, None], 0.0)
-    with np.errstate(over="ignore"):   # `Allocation` rejects an inf charge
-        charge = k * price
-    return Allocation(won, ks, payments, charge)
+    return Allocation(won, ks, np.where(won, price[:, None], 0.0))
 
 
 def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
@@ -258,8 +257,8 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     She wins iff her unit cost's position p among the others' is below k.
     The price, the (k+1)-th lowest unit cost of her row, is the others' k-th
     if she wins, her own if p = k, and the others' (k+1)-th otherwise.
-    Fails closed as the rule's `Allocation` does: a row whose charge k *
-    price is not finite raises `DomainError`.  The truthful unit costs are
+    Fails closed as the rule does: a row whose total k * price is not
+    finite raises `DomainError`.  The truthful unit costs are
     ranked once per instance (`_kept`).
     """
     reports = _check_nonneg_finite("values", reports)
@@ -270,11 +269,10 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     own = cost_eval(inst.model, reports, np.full(reports.size, eps))
     s, p = _positions(w_sorted, s, composite, agents, own)
     at = np.where(p < k, k - (k <= s), k + (k >= s))
-    price = np.where(p == k, own, w_sorted.take(at, mode="clip"))
+    price = np.where(p == k, own, w_sorted.take(at, mode="clip")) + 0.0
     with np.errstate(over="ignore"):
-        charge = k * price
-    if not np.isfinite(charge).all():
-        raise DomainError(_OVERFLOW)
+        if not np.isfinite(k * price).all():
+            raise DomainError(_OVERFLOW)
     won = p < k
     return np.full(p.size, k), np.where(won, price, 0.0), np.where(won, eps, 0.0), price
 

@@ -159,8 +159,9 @@ def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
 
 def check_budget_feasibility(outcome: MechanismOutcome,
                              budget: float) -> VerificationReport:
-    """Total payment never exceeds the analyst's budget (exactly, no tolerance)."""
-    over = outcome.total_payment - budget
+    """Total payment never exceeds the analyst's budget (exactly, no tolerance);
+    `DomainError` unless the budget is finite and >= 0."""
+    over = outcome.total_payment - float(_check_nonneg_finite("budget", budget))
     return _instance_check("budget_feasibility", over > 0, outcome.total_payment,
                            float(over), tolerance=0.0)
 
@@ -381,9 +382,8 @@ def check_estimator_privacy(noise_scale: float) -> VerificationReport:
 def _repriced(inst: BudgetInstance, values, alloc: Allocation) -> Allocation:
     """`alloc`, `fair_query`'s allocation on an (m, n) matrix of reports
     `values`, with each winner paid her reported cost at her privacy level
-    (0 for losers, whose level is 0); the charge is their sum."""
-    payments = cost_eval(inst.model, values, alloc.epsilons)
-    return Allocation(alloc.won, alloc.k, payments, payments.sum(axis=-1))
+    (0 for losers, whose level is 0)."""
+    return Allocation(alloc.won, alloc.k, cost_eval(inst.model, values, alloc.epsilons))
 
 
 def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:

@@ -7,12 +7,11 @@ import pytest
 
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
                               MechanismOutcome, Population, PopulationSpec,
-                              _tolerance, _k_cheapest, _zeros_in_index_order, cost_eval,
-                              generate_population)
+                              _k_cheapest, cost_eval, generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
-from privauction.verify import (estimate_accuracy, impossibility_bound,
-                               oracle_max_winners_envy_free)
+from privauction.verify import (check_budget_feasibility, estimate_accuracy,
+                               impossibility_bound, oracle_max_winners_envy_free)
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -93,6 +92,9 @@ ADMISSIBILITY_ENTRY_POINTS = {
         fair_query, BudgetInstance(POP3, CostFamily.LINEAR, 2.0), bad, 10, 0),
     "oracle-max-winners-budget": lambda bad: oracle_max_winners_envy_free(
         POP3, CostFamily.LINEAR, bad),
+    "budget-feasibility-budget": lambda bad: check_budget_feasibility(
+        fair_query(BudgetInstance(POP3, CostFamily.LINEAR, 2.0), np.random.default_rng(0)),
+        bad),
 }
 
 
@@ -248,34 +250,21 @@ def test_spec_to_dict_is_plain_floats_and_known_keys():
 
 # --- Allocation and MechanismOutcome ----------------------------------------
 
-def one_row(won, k, payments, charge) -> Allocation:
+def one_row(won, k, payments) -> Allocation:
     return Allocation(np.array([won], dtype=bool), np.array([k]),
-                      np.array([payments], dtype=float), np.array([charge], dtype=float))
-
-
-def test_outcome_charge_must_cover_payments():
-    with pytest.raises(DomainError):
-        one_row([1, 1, 0], 2, [1.0, 1.0, 0.0], 1.0)
-
-
-def test_allocation_charge_tolerance_is_relative_to_the_payments():
-    # at a total of 2e8 one ulp (~3e-8) exceeds an absolute 1e-9
-    total = 2e8
-    one_row([1, 1, 0], 2, [1e8, 1e8, 0.0], np.nextafter(total, 0.0))
-    with pytest.raises(DomainError, match="cover"):
-        one_row([1, 1, 0], 2, [1e8, 1e8, 0.0], total - 4.0 * _tolerance(total))
+                      np.array([payments], dtype=float))
 
 
 def test_outcome_losers_have_zero_eps():
-    out = MechanismOutcome(0.0, one_row([1, 0, 1, 0], 2, [1.0, 0.0, 1.0, 0.0], 2.0))
-    assert out.winners == frozenset({0, 2})
+    out = MechanismOutcome(0.0, one_row([1, 0, 1, 0], 2, [1.0, 0.0, 1.0, 0.0]))
+    assert np.flatnonzero(out.allocation.won[0]).tolist() == [0, 2]
     assert (out.winner_count, out.noise_scale) == (2, 2.0)
     assert out.epsilons.tolist() == [0.5, 0.0, 0.5, 0.0]   # losers exactly 0
-    assert (out.analyst_charge, out.total_payment) == (2.0, 2.0)
+    assert out.total_payment == 2.0
 
 
 def test_allocation_epsilons_are_kept_and_read_only():
-    alloc = one_row([1, 0, 1, 0], 2, [1.0, 0.0, 1.0, 0.0], 2.0)
+    alloc = one_row([1, 0, 1, 0], 2, [1.0, 0.0, 1.0, 0.0])
     eps = alloc.epsilons
     assert alloc.epsilons is eps   # built once, on the first read
     assert MechanismOutcome(0.0, alloc).epsilons.base is eps
@@ -289,40 +278,38 @@ def test_allocation_epsilons_are_kept_and_read_only():
 @pytest.mark.parametrize("k", [3, -1])
 def test_allocation_rejects_k_outside_0_to_n_minus_1(k):
     with pytest.raises(DomainError):
-        one_row([k > 0] * 3, k, [0.0, 0.0, 0.0], 0.0)
+        one_row([k > 0] * 3, k, [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("won, k", [([1, 1, 0], 1), ([1, 0, 0], 2), ([0, 0, 0], 1)])
 def test_allocation_rejects_a_mask_that_does_not_mark_k_winners(won, k):
     with pytest.raises(DomainError, match="exactly k"):
-        one_row(won, k, [0.0, 0.0, 0.0], 0.0)
+        one_row(won, k, [0.0, 0.0, 0.0])
     # a row that marks k among rows that do not fails too
     with pytest.raises(DomainError, match="exactly k"):
         Allocation(np.array([[1, 0, 0], won], dtype=bool), np.array([1, k]),
-                   np.zeros((2, 3)), np.zeros(2))
+                   np.zeros((2, 3)))
 
 
 def test_allocation_rejects_a_mask_that_is_not_boolean():
     # an integer 2 sums to k = 2 but marks one winner
     with pytest.raises(DomainError, match="exactly k"):
-        Allocation(np.array([[2, 0, 0]]), np.array([2]), np.zeros((1, 3)), np.zeros(1))
+        Allocation(np.array([[2, 0, 0]]), np.array([2]), np.zeros((1, 3)))
 
 
-@pytest.mark.parametrize("won, k, payments, charge", [
-    ([[1, 0, 0]], [1, 1], np.zeros((2, 3)), np.zeros(2)),   # one mask row, two k
-    ([1, 0, 0], [1], np.zeros((1, 3)), np.zeros(1)),         # a 1-d mask
-    ([[1, 0, 0]], [1], np.zeros((1, 2)), np.zeros(1)),       # payments too narrow
-    ([[1, 0, 0]], [1], np.zeros((1, 3)), np.zeros(2)),       # two charges
-    ([[1, 0, 0]], [[1]], np.zeros((1, 3)), np.zeros(1)),     # a 2-d k
-], ids=["k-rows", "1-d-mask", "payments-columns", "charge-rows", "2-d-k"])
-def test_allocation_rejects_arrays_whose_shapes_disagree(won, k, payments, charge):
+@pytest.mark.parametrize("won, k, payments", [
+    ([[1, 0, 0]], [1, 1], np.zeros((2, 3))),   # one mask row, two k
+    ([1, 0, 0], [1], np.zeros((1, 3))),         # a 1-d mask
+    ([[1, 0, 0]], [1], np.zeros((1, 2))),       # payments too narrow
+    ([[1, 0, 0]], [[1]], np.zeros((1, 3))),     # a 2-d k
+], ids=["k-rows", "1-d-mask", "payments-columns", "2-d-k"])
+def test_allocation_rejects_arrays_whose_shapes_disagree(won, k, payments):
     with pytest.raises(DomainError, match=r"\(m, n\)"):
-        Allocation(np.array(won, dtype=bool), np.array(k), payments, charge)
+        Allocation(np.array(won, dtype=bool), np.array(k), payments)
 
 
 def test_outcome_needs_a_one_row_allocation():
-    alloc = Allocation(np.zeros((2, 2), dtype=bool), np.array([0, 0]),
-                       np.zeros((2, 2)), np.zeros(2))
+    alloc = Allocation(np.zeros((2, 2), dtype=bool), np.array([0, 0]), np.zeros((2, 2)))
     with pytest.raises(DomainError):
         MechanismOutcome(0.0, alloc)
 
@@ -340,19 +327,3 @@ def test_winner_mask_equals_argsort_inverse(m, n):
         ref = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1) < k[:, None]
         np.testing.assert_array_equal(won, ref)
         assert (np.count_nonzero(won, axis=1) == k).all()
-
-
-def test_zeros_in_index_order_gives_the_stable_keys():
-    rng = np.random.default_rng(0)
-    keys = np.where(rng.random((50, 40)) < 0.6, rng.choice([0.0, -0.0], (50, 40)),
-                    rng.random((50, 40)))
-    stable = np.take_along_axis(keys, np.argsort(keys, axis=1, kind="stable"), axis=1)
-    assert _zeros_in_index_order(keys, np.sort(keys, axis=1)).tobytes() == stable.tobytes()
-    for k in range(keys.shape[1]):
-        ranked = _zeros_in_index_order(keys, np.partition(keys, k, axis=1))
-        assert ranked[:, k].tobytes() == stable[:, k].tobytes()
-    # a partition at k = 1 may leave zeros after a larger key: the leading
-    # two positions take the first two zeros in index order
-    ranked = _zeros_in_index_order(np.array([[-0.0, 0.0, 3.0, 0.0, -0.0]]),
-                                   np.array([[0.0, -0.0, 3.0, 0.0, -0.0]]))
-    assert ranked.tobytes() == np.array([[-0.0, 0.0, 3.0, 0.0, -0.0]]).tobytes()

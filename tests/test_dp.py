@@ -83,6 +83,14 @@ def test_ratio_bound_examples():
     assert privacy_ratio_bound(3.0, 0.0) == 1.0
     assert privacy_ratio_bound(4.0, 1.0) == pytest.approx(math.exp(0.25), abs=1e-12)
     assert privacy_ratio_bound(5.0, 2.0) == pytest.approx(1.4918246976412703, abs=1e-9)
+    assert privacy_ratio_bound(5.0, -2.0) == privacy_ratio_bound(5.0, 2.0)
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf, True, "1", 10 ** 400],
+                         ids=["nan", "inf", "-inf", "bool", "str", "huge-int"])
+def test_ratio_bound_rejects_a_shift_that_is_not_a_finite_number(shift):
+    with pytest.raises(DomainError, match="shift"):
+        privacy_ratio_bound(2.0, shift)
 
 
 # --- estimator -------------------------------------------------------------
@@ -91,7 +99,7 @@ def one_row(n: int, winners) -> Allocation:
     """A one-row allocation over n agents in which `winners` win, unpaid."""
     won = np.zeros((1, n), dtype=bool)
     won[0, list(winners)] = True
-    return Allocation(won, won.sum(axis=1), np.zeros((1, n)), np.zeros(1))
+    return Allocation(won, won.sum(axis=1), np.zeros((1, n)))
 
 
 def test_estimator_deterministic_part():
@@ -120,7 +128,7 @@ def test_estimator_ignores_non_winner_bits():
 def test_plan_rejects_an_allocation_that_is_not_one_row_over_n():
     pop = Population(bits=np.ones(5, int), values=np.arange(5.0))
     two_rows = Allocation(np.zeros((2, 5), dtype=bool), np.zeros(2, dtype=int),
-                          np.zeros((2, 5)), np.zeros(2))
+                          np.zeros((2, 5)))
     for alloc in (two_rows, one_row(6, range(3)), one_row(4, range(3))):
         with pytest.raises(DomainError, match="one-row allocation"):
             EstimatorPlan(pop, alloc)
@@ -165,6 +173,13 @@ def test_estimator_equals_the_per_call_sum_bit_for_bit(n):
                      + lap_sample(scale, trial_stream(seed, t)) for t in range(1000)])
     assert got.tobytes() == want.tobytes()
     assert trial_estimates(plan, seed, 1000).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [-1, True, 2.5, 3.0, "3"])
+def test_trial_estimates_rejects_trials_that_are_not_an_integer_at_least_0(trials):
+    _, _, plan = _random_plan(12, 0)
+    with pytest.raises(DomainError, match="trials"):
+        trial_estimates(plan, 0, trials)
 
 
 def test_density_ratio_on_grid():
