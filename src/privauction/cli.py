@@ -90,6 +90,10 @@ class ExperimentConfig:
             values = self.sweep.get("values")
             if param not in SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+            bits = self.population.bits
+            if param in ("threshold", "q") and param not in bits:
+                raise ConfigError(f"sweep parameter {param!r} is not a field of the "
+                                  f"{bits['model']!r} bit model")
             # the report echoes every swept value, and JSON holds no inf or NaN
             if not (isinstance(values, list) and values
                     and all(_has_type(v, (int, float)) and not _non_finite(v)
@@ -197,7 +201,7 @@ def _run_record(config: ExperimentConfig, inst) -> dict:
     out0 = mech(inst, trial_stream(config.seed, 0))
     k = out0.winner_count
     if config.scenario == "budget":
-        bound = verify_mod.accuracy_level(out0, n)
+        bound = verify_mod.accuracy_level(out0)
     else:
         bound = float(config.alpha) * n
     shown = np.clip(estimates, 0.0, n) if config.clamp_estimates else estimates
@@ -233,12 +237,8 @@ def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
         return dataclasses.replace(config, **{param: _check_real(param, value)}, sweep=None)
     if param == "seed":
         return dataclasses.replace(config, seed=_check_integer("seed", value), sweep=None)
-    if param == "n":
-        change = {"n": value}
-    elif param == "q":
-        change = {"bits": {"model": "independent", "q": value}}
-    else:
-        change = {"bits": {"model": "value_correlated", "threshold": value}}
+    # a swept q or threshold replaces that field of the config's own bits
+    change = {"n": value} if param == "n" else {"bits": {**config.population.bits, param: value}}
     pop = dataclasses.replace(config.population, **change)
     return dataclasses.replace(config, population=pop, sweep=None)
 
@@ -323,8 +323,10 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def _write_report(report: dict, config: ExperimentConfig) -> None:
-    """Encode `report`, then write it to stdout or to `config.output_path`.
+def _report(config: ExperimentConfig, command: str, records: list,
+            verification: list) -> None:
+    """Frame one command's report, encode it, then write it to stdout or to
+    `config.output_path`.
 
     The report is encoded before the file is opened, so a report that cannot
     be encoded (a NaN that reached it) raises `DomainError` and leaves an
@@ -349,6 +351,8 @@ def _write_report(report: dict, config: ExperimentConfig) -> None:
     full disk, a crash) can leave new bytes followed by the old report's
     tail, where truncating first left an empty or partial file.
     """
+    report = {"version": REPORT_VERSION, "command": command, "config": config.to_dict(),
+              "records": records, "verification": verification}
     try:
         body = None if config.output_format == "csv" else _json(report)
     except ValueError as exc:
@@ -383,14 +387,7 @@ def _write_report(report: dict, config: ExperimentConfig) -> None:
 
 def cmd_run(config: ExperimentConfig) -> int:
     inst = _instance(config)
-    report = {
-        "version": REPORT_VERSION,
-        "command": "run",
-        "config": config.to_dict(),
-        "records": [_run_record(config, inst)],
-        "verification": _quick_verification(config, inst),
-    }
-    _write_report(report, config)
+    _report(config, "run", [_run_record(config, inst)], _quick_verification(config, inst))
     return 0
 
 
@@ -405,17 +402,11 @@ def _corpus(config: ExperimentConfig):
 def cmd_verify(config: ExperimentConfig) -> int:
     reports = verify_mod.run_suite(_corpus(config),
                                    negative_control=config.negative_control)
-    all_pass = all(r.passed for r in reports)
-    report = {
-        "version": REPORT_VERSION,
-        "command": "verify",
-        "config": config.to_dict(),
-        "records": [{"property": r.property_name, "pass": r.passed,
-                     "violation_count": len(r.violations)} for r in reports],
-        "verification": [r.to_dict() for r in reports],
-    }
-    _write_report(report, config)
-    return 0 if all_pass else 1
+    _report(config, "verify",
+            [{"property": r.property_name, "pass": r.passed,
+              "violation_count": len(r.violations)} for r in reports],
+            [r.to_dict() for r in reports])
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
@@ -431,14 +422,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         except DomainError as exc:
             rec = {"swept_value": value, "error": str(exc)}
         records.append(rec)
-    report = {
-        "version": REPORT_VERSION,
-        "command": "sweep",
-        "config": config.to_dict(),
-        "records": records,
-        "verification": [],
-    }
-    _write_report(report, config)
+    _report(config, "sweep", records, [])
     return 0
 
 

@@ -134,15 +134,18 @@ class Population:
     values: np.ndarray
 
     def __post_init__(self):
+        # checked before the cast, which would truncate 0.5 to 0 and reject a
+        # NaN with numpy's own error
+        bits = np.asarray(self.bits)
+        if not np.all((bits == 0) | (bits == 1)):
+            raise DomainError("bits must be 0/1")
         # copies, so that freezing them leaves the caller's arrays writable
-        bits = np.array(self.bits, dtype=np.int64)
+        bits = np.array(bits, dtype=np.int64)
         values = _check_nonneg_finite("values", np.array(self.values, dtype=float))
         if bits.ndim != 1 or values.ndim != 1 or bits.shape != values.shape:
             raise DomainError("bits and values must be 1-d vectors of equal length")
         if bits.size < 1:
             raise DomainError("population must have n >= 1")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise DomainError("bits must be 0/1")
         bits.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "bits", bits)

@@ -269,16 +269,16 @@ def check_necessity(epsilons, alpha: float) -> bool:
     return bool(enough >= need - _tolerance(need))
 
 
-def matched_alpha(outcome: MechanismOutcome, n: int) -> float:
+def matched_alpha(outcome: MechanismOutcome) -> float:
     """The left-out fraction alpha = (n - k)/n of a k-winner outcome, which is
     the parameter under which the necessity condition applies to it."""
-    return (n - outcome.winner_count) / n
+    return outcome.noise_scale / outcome.allocation.won.shape[1]
 
 
-def accuracy_level(outcome: MechanismOutcome, n: int) -> float:
+def accuracy_level(outcome: MechanismOutcome) -> float:
     """The accuracy guarantee (1/2 + ln 3)(n - k) of a k-winner outcome,
     expressed as alpha*n with alpha = (1/2 + ln 3)(n - k)/n."""
-    return ACCURACY_CONST * (n - outcome.winner_count)
+    return ACCURACY_CONST * outcome.noise_scale
 
 
 def payment_lower_bound(pop: Population, model: CostFamily, alpha: float) -> float:
@@ -462,10 +462,10 @@ def _outcome_checks(mech: Mechanism, inst: Instance, out: MechanismOutcome):
         yield check_payment_optimality(out, pop, model)
 
     if 0 < k < n:
-        alpha = matched_alpha(out, n)
+        alpha = matched_alpha(out)
         yield _instance_check("necessity", not check_necessity(out.epsilons, alpha),
                               {"alpha": alpha}, None)
-        acc_alpha = accuracy_level(out, n) / n
+        acc_alpha = accuracy_level(out) / n
         if acc_alpha < 1.0:
             bound = payment_lower_bound(pop, model, acc_alpha)
             slack = out.total_payment - bound

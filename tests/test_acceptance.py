@@ -176,9 +176,9 @@ def test_criterion_7_necessity_and_lower_bound(corpus, outcomes):
                          budget_outcomes + accuracy_outcomes):
         n = inst.pop.n
         if 0 < out.winner_count < n:
-            if not check_necessity(out.epsilons, matched_alpha(out, n)):
+            if not check_necessity(out.epsilons, matched_alpha(out)):
                 necessity_fail += 1
-            acc_alpha = accuracy_level(out, n) / n
+            acc_alpha = accuracy_level(out) / n
             bound = (payment_lower_bound(inst.pop, inst.model, acc_alpha)
                      if acc_alpha < 1.0 else 0.0)
             if out.total_payment < bound - 1e-9:

@@ -170,7 +170,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command, target, reason):
 def test_report_that_cannot_be_encoded_leaves_output_untouched(tmp_path, monkeypatch, capsys):
     # the report is encoded before --output is opened; a NaN in it is an
     # input outside what the math supports, so the command exits 2
-    monkeypatch.setattr(privauction.verify, "accuracy_level", lambda out, n: float("nan"))
+    monkeypatch.setattr(privauction.verify, "accuracy_level", lambda out: float("nan"))
     cfg = write_config(tmp_path, "cfg.json", trials=2)
     out = tmp_path / "report.json"
     out.write_bytes(b'{"an": "earlier report"}\n')
@@ -647,3 +647,21 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert read_report(out)["records"][0]["k"] == 2
+
+
+@pytest.mark.parametrize("bits, param", [
+    ({"model": "value_correlated", "threshold": 2.0}, "q"),
+    ({"model": "independent", "q": 0.5}, "threshold"),
+], ids=["q-over-value-correlated", "threshold-over-independent"])
+def test_sweep_of_a_field_the_bit_model_lacks_is_a_config_error(tmp_path, capsys, bits, param):
+    # a swept q or threshold replaces that field of the config's own bits; a
+    # sweep across bit models once ran one model and echoed the other
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       population={**BASE_CONFIG["population"], "bits": bits},
+                       sweep={"parameter": param, "values": [0.5, 3.0]})
+    assert main(["sweep", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep parameter {param!r} is not a field of the "
+        f"{bits['model']!r} bit model\n")
+    assert not out.exists()

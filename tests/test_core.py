@@ -118,6 +118,9 @@ def test_population_basic():
     ([1, 0], [1.0]),            # length mismatch
     ([], []),                   # empty
     ([2, 0], [1.0, 1.0]),       # non-binary bit
+    ([0.5, 1], [1.0, 1.0]),     # fractional bit, which a cast truncates to 0
+    ([1.9, 0], [1.0, 1.0]),     # fractional bit, which a cast truncates to 1
+    ([np.nan, 1], [1.0, 1.0]),  # NaN bit, which a cast rejects with numpy's error
     ([1, 0], [-1.0, 1.0]),      # negative value
     ([1, 0], [np.inf, 1.0]),    # non-finite value
 ])

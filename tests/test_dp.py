@@ -72,6 +72,40 @@ def test_zero_uniform_gives_a_finite_sample():
     np.testing.assert_array_equal(vector, np.full(3, scalar))
 
 
+class ReplayUniforms:
+    """A generator stub that hands out one fixed array of uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.pos = uniforms, 0
+
+    def random(self, size=None):
+        start = self.pos
+        self.pos += 1 if size is None else size
+        if size is None:
+            return float(self.uniforms[start])
+        return self.uniforms[start:self.pos].copy()
+
+
+ULP = 2.0 ** -53
+PINNED_UNIFORMS = np.concatenate([
+    [0.0, ULP, 0.5 - ULP, 0.5, 0.5 + ULP, 1.0 - ULP],
+    np.arange(0, 1000) * ULP,                     # j * 2**-53 near 0
+    (2.0 ** 52 + np.arange(-1000, 1000)) * ULP,   # near 1/2, where the sign flips
+    (2.0 ** 53 - np.arange(1000, 0, -1)) * ULP,   # near 1
+    np.random.default_rng(53).random(100_000),
+])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 5.0, 95.0, 1e4])
+def test_scalar_and_vector_samples_agree_bit_for_bit(scale):
+    # every uniform a Generator returns is j * 2**-53; one draw per call and
+    # one batched call give the same bits, the sign of a zero included
+    rng = ReplayUniforms(PINNED_UNIFORMS)
+    scalar = np.array([lap_sample(scale, rng) for _ in range(PINNED_UNIFORMS.size)])
+    vector = lap_sample(scale, ReplayUniforms(PINNED_UNIFORMS), size=PINNED_UNIFORMS.size)
+    np.testing.assert_array_equal(scalar.view(np.uint64), vector.view(np.uint64))
+
+
 def test_sample_scale_validation():
     with pytest.raises(DomainError):
         lap_sample(0.0, np.random.default_rng(0))

@@ -76,7 +76,7 @@ def test_budget_large_config_has_a_nonvacuous_lower_bound():
         out = fair_query(inst, np.random.default_rng(0))
         assert out.winner_count == pop.n - 1
         bounds.append(payment_lower_bound(pop, inst.model,
-                                          accuracy_level(out, pop.n) / pop.n))
+                                          accuracy_level(out) / pop.n))
     assert min(bounds) > 0
 
 

@@ -689,7 +689,7 @@ def test_necessity_tolerance_per_family(family, data):
     inst, out = data.draw(extreme_outcomes(family, data.draw(KINDS)))
     n, k = inst.pop.n, out.winner_count
     assume(0 < k < n)
-    alpha = matched_alpha(out, n)
+    alpha = matched_alpha(out)
     assert check_necessity(out.epsilons, alpha)
     i = np.flatnonzero(out.allocation.won[0])[0]
     for level, meets in ((np.nextafter(out.epsilons[i], 0.0), True), (0.0, False),
@@ -699,10 +699,19 @@ def test_necessity_tolerance_per_family(family, data):
         assert check_necessity(eps, alpha) is meets
 
 
+def test_outcome_gives_its_own_n():
+    # 4 agents, linear costs, budget 2: k = 2 winners, so n - k = 2
+    pop = Population(bits=[1, 0, 1, 0], values=[1.0, 2.0, 4.0, 8.0])
+    out = fair_query(BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=2.0), RNG())
+    assert out.winner_count == 2
+    assert matched_alpha(out) == 0.5
+    assert verify_mod.accuracy_level(out) == 2 * ACCURACY_CONST
+
+
 def test_mechanism_outcomes_pass_necessity():
     for inst in random_instances(50, seed=6, kind="accuracy"):
         out = min_cost_auction(inst, RNG())
-        assert check_necessity(out.epsilons, matched_alpha(out, inst.pop.n))
+        assert check_necessity(out.epsilons, matched_alpha(out))
 
 
 def test_payment_lower_bound_vacuous():
@@ -777,7 +786,7 @@ def test_min_cost_beats_lower_bound():
     from privauction.verify import accuracy_level
     for inst in random_instances(100, seed=9, kind="accuracy"):
         out = min_cost_auction(inst, RNG())
-        alpha = accuracy_level(out, inst.pop.n) / inst.pop.n
+        alpha = accuracy_level(out) / inst.pop.n
         if 0 < alpha < 1:
             bound = payment_lower_bound(inst.pop, inst.model, alpha)
             assert out.total_payment >= bound - 1e-9
