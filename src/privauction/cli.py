@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -49,6 +50,14 @@ FIELD_TYPES = {"population": (dict, "an object"), "output": (dict, "an object"),
                "negative_control": (bool, "true or false")}
 
 
+#: The optional config fields, each passed on only when the config gives it,
+#: so that its default is the one on `ExperimentConfig`; and the fields that
+#: `output`'s keys set.
+OPTIONAL_FIELDS = ("budget", "alpha", "trials", "seed", "sweep", "clamp_estimates",
+                   "negative_control")
+OUTPUT_FIELDS = {"path": "output_path", "format": "output_format"}
+
+
 def _has_type(value, kind) -> bool:
     """isinstance, except that true and false are never numbers."""
     return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
@@ -81,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("budget scenario requires 'budget' and forbids 'alpha'")
         if self.scenario == "accuracy" and (self.alpha is None or self.budget is not None):
             raise ConfigError("accuracy scenario requires 'alpha' and forbids 'budget'")
+        if self.negative_control and self.scenario != "budget":
+            raise ConfigError("negative_control applies to the budget scenario only")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.output_format not in ("json", "csv"):
@@ -133,19 +144,9 @@ class ExperimentConfig:
             family = CostFamily(raw["cost_family"])
             output = raw.get("output", {})
             return cls(
-                scenario=raw["scenario"],
-                population=population,
-                cost_family=family,
-                budget=raw.get("budget"),
-                alpha=raw.get("alpha"),
-                trials=raw.get("trials", 1),
-                seed=raw.get("seed", 0),
-                sweep=raw.get("sweep"),
-                output_path=output.get("path"),
-                output_format=output.get("format", "json"),
-                clamp_estimates=raw.get("clamp_estimates", False),
-                negative_control=raw.get("negative_control", False),
-            )
+                scenario=raw["scenario"], population=population, cost_family=family,
+                **{key: raw[key] for key in OPTIONAL_FIELDS if key in raw},
+                **{field: output[key] for key, field in OUTPUT_FIELDS.items() if key in output})
         except KeyError as exc:
             raise ConfigError(f"config missing required field {exc}") from exc
         except (ValueError, DomainError) as exc:
@@ -181,11 +182,9 @@ def _instance(config: ExperimentConfig):
 
 
 def _mechanism(config: ExperimentConfig):
-    if config.scenario == "budget":
-        if config.negative_control:
-            return verify_mod.pay_your_bid_control
-        return fair_query
-    return min_cost_auction
+    if config.negative_control:   # a budget-scenario field
+        return verify_mod.pay_your_bid_control
+    return fair_query if config.scenario == "budget" else min_cost_auction
 
 
 def _run_record(config: ExperimentConfig, inst) -> dict:
@@ -284,23 +283,15 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, body: Optional[str], stream) -> None:
-    """Write `body`, the report's JSON, or the report as CSV when it is None."""
-    if body is None:
-        _emit_csv(report, stream)
-    else:
-        # two writes, so the report is not copied once more into `body + "\n"`
-        stream.write(body)
-        stream.write("\n")
-
-
-def _emit_csv(report: dict, stream) -> None:
-    records = report["records"]
-    fields = sorted({k for rec in records for k in rec})
-    writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\r\n")
+def _csv(records: list) -> str:
+    """The records as CSV: a header of every key any record has, sorted, and
+    one row per record, with an empty cell for a key the record lacks."""
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=sorted({k for rec in records for k in rec}),
+                            lineterminator="\r\n")
     writer.writeheader()
-    for rec in records:
-        writer.writerow({k: rec.get(k, "") for k in fields})
+    writer.writerows(records)
+    return buf.getvalue()
 
 
 def _discard_stdout() -> None:
@@ -328,11 +319,11 @@ def _report(config: ExperimentConfig, command: str, records: list,
     """Frame one command's report, encode it, then write it to stdout or to
     `config.output_path`.
 
-    The report is encoded before the file is opened, so a report that cannot
-    be encoded (a NaN that reached it) raises `DomainError` and leaves an
-    existing output file as it was. An `OSError` from the open, the write or
-    the cut raises `DomainError` too, and so does one from writing or
-    flushing stdout, after `_discard_stdout`.
+    The whole body, JSON or CSV, is encoded before the file is opened, so a
+    report that cannot be encoded (a NaN that reached a JSON report) raises
+    `DomainError` and leaves an existing output file as it was. An `OSError`
+    from the open, the write or the cut raises `DomainError` too, and so
+    does one from writing or flushing stdout, after `_discard_stdout`.
 
     An existing file is rewritten in place: opened without `O_TRUNC`,
     written from its start and then cut to the written length. Truncating a
@@ -354,12 +345,12 @@ def _report(config: ExperimentConfig, command: str, records: list,
     report = {"version": REPORT_VERSION, "command": command, "config": config.to_dict(),
               "records": records, "verification": verification}
     try:
-        body = None if config.output_format == "csv" else _json(report)
+        body = _csv(records) if config.output_format == "csv" else _json(report) + "\n"
     except ValueError as exc:
         raise DomainError(f"cannot encode report: {exc}") from exc
     if not config.output_path:
         try:
-            _emit(report, body, sys.stdout)
+            sys.stdout.write(body)
             sys.stdout.flush()
         except OSError as exc:
             _discard_stdout()
@@ -371,7 +362,7 @@ def _report(config: ExperimentConfig, command: str, records: list,
         # O_BINARY where it exists, so newline="" writes the bytes given
         with open(config.output_path, "w", newline="",
                   opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
-            _emit(report, body, fh)
+            fh.write(body)
             fh.flush()
             st = os.fstat(fh.fileno())
             if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
@@ -442,34 +433,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Auctions for buying differential privacy: experiment runner.")
     parser.add_argument("command", choices=("run", "verify", "sweep"))
     parser.add_argument("config", help="path to JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--trials", type=int, default=None, help="override trial count")
-    parser.add_argument("--output", default=None, help="override output path")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
+    # each option's dest is the config field it overrides, and its default,
+    # None, means "as the config says"
+    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--trials", type=int, help="override trial count")
+    parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                        help="override output path")
+    parser.add_argument("--format", dest="output_format", choices=("json", "csv"),
                         help="override output format")
-    parser.add_argument("--clamp", action="store_true",
+    parser.add_argument("--clamp", dest="clamp_estimates", action="store_const", const=True,
                         help="clamp reported estimates to [0, n]")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    handler = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.pop("command")]
+    path = args.pop("config")
     try:
-        config = ExperimentConfig.from_file(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.output is not None:
-            overrides["output_path"] = args.output
-        if args.format is not None:
-            overrides["output_format"] = args.format
-        if args.clamp:
-            overrides["clamp_estimates"] = True
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        handler = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
+        config = dataclasses.replace(ExperimentConfig.from_file(path),
+                                     **{k: v for k, v in args.items() if v is not None})
         return handler(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

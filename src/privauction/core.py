@@ -256,8 +256,8 @@ def generate_population(spec: PopulationSpec) -> Population:
     """Draw a Population from the spec: the valuations first, then, for
     independent bits, one uniform per agent.  Deterministic given the seed.
 
-    `DomainError` if numpy cannot draw it: an n too large for an array, or a
-    uniform range wider than a float holds."""
+    `DomainError` if numpy cannot draw it: an n too large for an array or for
+    memory, or a uniform range wider than a float holds."""
     rng = np.random.default_rng(spec.seed)
     v = spec.values
     try:
@@ -267,12 +267,12 @@ def generate_population(spec: PopulationSpec) -> Population:
             values = rng.lognormal(v["mu"], v["sigma"], size=spec.n)
         else:
             values = np.asarray(v["points"], dtype=float)
-    except (ValueError, OverflowError) as exc:
+        if spec.bits["model"] == "independent":
+            bits = (rng.random(spec.n) < spec.bits["q"]).astype(np.int64)
+        else:
+            bits = (values >= spec.bits["threshold"]).astype(np.int64)
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise DomainError(f"cannot draw the population: {exc}") from exc
-    if spec.bits["model"] == "independent":
-        bits = (rng.random(spec.n) < spec.bits["q"]).astype(np.int64)
-    else:
-        bits = (values >= spec.bits["threshold"]).astype(np.int64)
     return Population(bits=bits, values=values)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -8,9 +9,11 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import privauction
+from privauction import cli
 from privauction.cli import ConfigError, ExperimentConfig, main
 from privauction.dp import ACCURACY_CONST
 
@@ -252,6 +255,35 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, raw):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_control_outside_the_budget_scenario_is_a_config_error(
+        tmp_path, capsys, command):
+    # the control reprices fair_query, the budget scenario's rule; an accuracy
+    # config once ran the truthful auction and echoed "negative_control": true
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "cfg.json", scenario="accuracy", budget=None, alpha=0.5,
+                       negative_control=True, trials=2, output={"path": str(out)},
+                       population={"n": 8, "values": {"dist": "uniform", "lo": 0, "hi": 10},
+                                   "bits": {"model": "independent", "q": 0.5}, "seed": 0})
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: negative_control applies to the budget scenario only\n")
+    assert not out.exists()
+
+
+def test_each_config_field_has_one_default_and_one_source():
+    # a field is required, optional (passed on only when the config gives
+    # it, so its default is the dataclass's) or set by a key of `output`; an
+    # option's dest is the field it overrides, and its default None means
+    # "as the config says"
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert (set(cli.OPTIONAL_FIELDS) | set(cli.OUTPUT_FIELDS.values())
+            == fields - {"scenario", "population", "cost_family"})
+    options = [a for a in cli.build_parser()._actions
+               if a.dest not in ("help", "command", "config")]
+    assert options and all(a.dest in fields and a.default is None for a in options)
+
+
 def _overflow_config(tmp_path, alpha=0.1, **overrides):
     # lognormal(6, 3) values reach ~1e5, where exp_arg's expm1(eps * v) is inf
     return write_config(
@@ -403,6 +435,58 @@ def test_population_numpy_cannot_draw_exits_two(tmp_path, capsys, command, case)
     assert main([command, str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot draw the population: ") and err.count("\n") == 1
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class OutOfMemory:
+    """numpy's Generator, except that its `failing` draw of more than 1000
+    numbers raises MemoryError, as numpy's does for an n too large for
+    memory. A real draw that large could be granted and then filled."""
+
+    def __init__(self, failing, seed):
+        self._failing, self._rng = failing, REAL_DEFAULT_RNG(seed)
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name != self._failing:
+            return draw
+
+        def failing(*args, **kwargs):
+            n = kwargs.get("size", args[-1])   # uniform(lo, hi, size=n), random(n)
+            if n > 1000:
+                raise MemoryError(f"Unable to allocate {8 * n} bytes")
+            return draw(*args, **kwargs)
+        return failing
+
+
+@pytest.mark.parametrize("failing", ["uniform", "random"], ids=["values", "bits"])
+def test_population_too_large_for_memory_exits_two(tmp_path, monkeypatch, capsys, failing):
+    # this once ended in a MemoryError traceback and exit 1
+    monkeypatch.setattr(np.random, "default_rng", functools.partial(OutOfMemory, failing))
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       population={**BASE_CONFIG["population"], "n": 2000,
+                                   "values": {"dist": "uniform", "lo": 0, "hi": 10}})
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot draw the population: Unable to allocate 16000 bytes\n")
+    assert not out.exists()
+
+
+def test_sweep_records_an_n_too_large_for_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", functools.partial(OutOfMemory, "uniform"))
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       population={**BASE_CONFIG["population"],
+                                   "values": {"dist": "uniform", "lo": 0, "hi": 10}},
+                       sweep={"parameter": "n", "values": [4, 2000]})
+    assert main(["sweep", str(cfg)]) == 0
+    good, bad = read_report(out)["records"]
+    assert good["error"] == ""
+    assert bad == {"swept_value": 2000, "error": "cannot draw the population: "
+                                                "Unable to allocate 16000 bytes"}
 
 
 def test_sweep_records_an_undrawable_n(tmp_path):
@@ -591,7 +675,7 @@ def test_verify_negative_control_exits_one(tmp_path):
 def test_verify_keeps_one_corpus_instance_alive(tmp_path, monkeypatch):
     # the corpus is drawn as the suite checks it, so memory does not grow
     # with trials x n
-    from privauction import cli, verify
+    from privauction import verify
     made, alive = [], []
     draw, check = cli._instance, verify.check_truthfulness
 
