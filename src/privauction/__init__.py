@@ -12,8 +12,7 @@ from .core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, PopulationSpec, cost_eval,
                    generate_population)
 from .dp import (ACCURACY_CONST, LN3, EstimatorPlan, lap_sample,
-                 laplace_estimator, privacy_ratio_bound, trial_estimates,
-                 trial_stream)
+                 laplace_estimator, trial_estimates, trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
 from .verify import (VerificationReport, check_envy_freeness,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .core import (CostFamily, DomainError, PopulationSpec, _check_integer,
-                   _check_real, generate_population)
+                   _check_real, _known, generate_population)
 from .dp import _trial_streams, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
@@ -97,8 +97,7 @@ class ExperimentConfig:
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"format must be 'json' or 'csv', got {self.output_format!r}")
         if self.sweep is not None:
-            param = self.sweep.get("parameter")
-            values = self.sweep.get("values")
+            param, values = self.sweep.get("parameter"), self.sweep.get("values")
             if param not in SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
             bits = self.population.bits
@@ -137,6 +136,10 @@ class ExperimentConfig:
             if key in raw and not _has_type(raw[key], kind):
                 raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
         try:
+            _known("config", raw, ("scenario", "population", "cost_family", "output",
+                                   *OPTIONAL_FIELDS))
+            _known("output", raw.get("output", {}), OUTPUT_FIELDS)
+            _known("sweep", raw.get("sweep", {}), ("parameter", "values"))
             for key in ("budget", "alpha"):
                 if key in raw:   # checked, but echoed as given: 400 stays 400
                     _check_real(key, raw[key])
@@ -194,10 +197,12 @@ def _run_record(config: ExperimentConfig, inst) -> dict:
     mech = _mechanism(config)
     n = inst.pop.n
     s = inst.pop.total
-    estimates = np.array([mech(inst, rng).estimate
-                          for rng in _trial_streams(config.seed, config.trials)])
-    # payments and winner sets are deterministic; take them from trial 0
-    out0 = mech(inst, trial_stream(config.seed, 0))
+    estimates = np.empty(config.trials)
+    for t, rng in enumerate(_trial_streams(config.seed, config.trials)):
+        estimates[t] = mech(inst, rng).estimate
+    # payments and winner sets are deterministic; take them from one more
+    # run on the loop's Generator, whose draw is not read
+    out0 = mech(inst, rng)
     k = out0.winner_count
     if config.scenario == "budget":
         bound = verify_mod.accuracy_level(out0)

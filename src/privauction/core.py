@@ -137,7 +137,7 @@ class Population:
         # checked before the cast, which would truncate 0.5 to 0 and reject a
         # NaN with numpy's own error
         bits = np.asarray(self.bits)
-        if not np.all((bits == 0) | (bits == 1)):
+        if not ((bits == 0) | (bits == 1)).all():
             raise DomainError("bits must be 0/1")
         # copies, so that freezing them leaves the caller's arrays writable
         bits = np.array(bits, dtype=np.int64)
@@ -202,6 +202,15 @@ def _bits_spec(d) -> Mapping:
     raise DomainError(f"unknown bit model {model!r}")
 
 
+def _known(where: str, given, known) -> None:
+    """`DomainError` naming the first key of `given` not in `known`, and the nearest known key."""
+    for key in given:
+        if key not in known:
+            import difflib   # only on this error path: its import costs ~1.8 ms
+            near = difflib.get_close_matches(str(key), list(known), n=1, cutoff=0.0)
+            raise DomainError(f"unknown {where} field {key!r}; did you mean {near[0]!r}?")
+
+
 def _field_error(exc: Exception) -> DomainError:
     """The error for a spec's missing (`KeyError`) or mistyped (`TypeError`,
     e.g. a list where an object belongs) field."""
@@ -228,6 +237,8 @@ class PopulationSpec:
             values, bits = _values_spec(self.values), _bits_spec(self.bits)
         except (KeyError, TypeError) as exc:
             raise _field_error(exc) from exc
+        _known("values", self.values, values)
+        _known("bits", self.bits, bits)
         if _check_integer("n", self.n) < 1:
             raise DomainError("n must be >= 1")
         if _check_integer("population seed", self.seed) < 0:
@@ -249,6 +260,7 @@ class PopulationSpec:
             values, bits, n = d["values"], d["bits"], d["n"]
         except (KeyError, TypeError) as exc:
             raise _field_error(exc) from exc
+        _known("population", d, cls.__dataclass_fields__)
         return cls(n=n, values=values, bits=bits, seed=d.get("seed", 0))
 
 

@@ -1,5 +1,5 @@
-"""Differential-privacy primitives: Laplace noise, the noisy-sum estimator,
-and analytic privacy calculations.
+"""Differential-privacy primitives: Laplace noise and the noisy-sum
+estimator.
 
 Random streams are explicit `numpy.random.Generator` values passed in, never
 global.  Monte Carlo runs derive one stream per trial from (seed, trial) via
@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Allocation, DomainError, Population, _check_integer, _check_real
+from .core import Allocation, DomainError, Population, _check_integer
 
 #: ln 3, the tail threshold multiplier at which the two-sided Laplace tail
 #: mass is exactly 1/3.
@@ -39,40 +39,28 @@ def _check_scale(scale: float) -> float:
 _SMALLEST_U = 2.0 ** -53
 
 
-def lap_sample(scale: float, rng: np.random.Generator, size=None):
-    """Draw from the zero-mean Laplace distribution with the given scale.
+def _laplace(u: float, scale: float) -> float:
+    """Laplace(scale) from one uniform u by inverse CDF,
+    x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|), with u == 0 read as
+    `_SMALLEST_U`.  The scale is not checked here."""
+    half = (u or _SMALLEST_U) - 0.5
+    sign = (half > 0) - (half < 0)
+    # np.log1p, not math.log1p: the two differ in the last ulp on some
+    # inputs, and every seeded estimate is drawn through this one
+    return float(-scale * sign * np.log1p(-2.0 * abs(half)))
 
-    Uses inverse-CDF from a single uniform draw per sample:
-    x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
-    """
+
+def lap_sample(scale: float, rng: np.random.Generator, size=None):
+    """Draw from the zero-mean Laplace distribution with the given scale:
+    `_laplace` of one uniform draw per sample, elementwise when `size` is
+    given."""
     scale = _check_scale(scale)
-    # rng.random() can return exactly 0, where the transform diverges
     if size is None:
-        half = (rng.random() or _SMALLEST_U) - 0.5
-        sign = (half > 0) - (half < 0)
-        # np.log1p, not math.log1p: the two differ in the last ulp on some
-        # inputs, and every seeded estimate is drawn through this one
-        return float(-scale * sign * np.log1p(-2.0 * abs(half)))
+        return _laplace(rng.random(), scale)
+    # rng.random() can return exactly 0, where the transform diverges
     u = rng.random(size)
     half = np.where(u == 0.0, _SMALLEST_U, u) - 0.5
     return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
-
-
-def lap_density(scale: float, x):
-    """Density f(x) = exp(-|x|/scale) / (2*scale)."""
-    scale = _check_scale(scale)
-    return np.exp(-np.abs(x) / scale) / (2.0 * scale)
-
-
-def privacy_ratio_bound(noise_scale: float, shift: float) -> float:
-    """Worst-case output-density ratio between two noisy-sum runs whose
-    deterministic parts differ by |shift|: exp(|shift| / noise_scale).
-    `DomainError` unless the shift is a finite number, of either sign."""
-    noise_scale = _check_scale(noise_scale)
-    shift = _check_real("shift", shift)
-    if not math.isfinite(shift):
-        raise DomainError(f"shift must be finite, got {shift!r}")
-    return math.exp(abs(shift) / noise_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +88,7 @@ class EstimatorPlan:
         won = self.allocation.won
         if won.shape != (1, self.pop.n):
             raise DomainError("estimator plan needs a one-row allocation over the n agents")
-        noise_scale = float(self.pop.n - self.allocation.k[0])
+        noise_scale = _check_scale(self.pop.n - self.allocation.k[0])
         offset = noise_scale / 2.0
         for name, value in (("noise_scale", noise_scale), ("offset", offset),
                             ("noiseless", float(self.pop.bits[won[0]].sum()) + offset)):
@@ -110,7 +98,7 @@ class EstimatorPlan:
 def laplace_estimator(plan: EstimatorPlan, rng: np.random.Generator) -> float:
     """Noisy sum over the plan's winner set: winners' bit sum + offset +
     Laplace(noise_scale)."""
-    return plan.noiseless + lap_sample(plan.noise_scale, rng)
+    return plan.noiseless + _laplace(rng.random(), plan.noise_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -183,5 +171,5 @@ def trial_estimates(plan: EstimatorPlan, seed: int, trials: int) -> np.ndarray:
     if _check_integer("trials", trials) < 0:
         raise DomainError("trials must be >= 0")
     noiseless, scale = plan.noiseless, plan.noise_scale
-    return np.array([noiseless + lap_sample(scale, rng)
+    return np.array([noiseless + _laplace(rng.random(), scale)
                      for rng in _trial_streams(seed, trials)])

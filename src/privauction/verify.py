@@ -17,8 +17,8 @@ import numpy as np
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_integer,
                    _check_nonneg_finite, _tolerance, cost_eval)
-from .dp import (ACCURACY_CONST, EstimatorPlan, lap_density, privacy_ratio_bound,
-                 trial_estimates, trial_stream)
+from .dp import (ACCURACY_CONST, EstimatorPlan, _check_scale, trial_estimates,
+                 trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, _kept, _truthful,
                          fair_query, min_cost_auction)
 
@@ -364,10 +364,12 @@ def check_estimator_privacy(noise_scale: float) -> VerificationReport:
     """Analytic DP check: the pointwise ratio of the two output densities of
     the noisy-sum estimator under a one-bit winner flip, a shift of 1, never
     exceeds exp(1/noise_scale), checked on 10,000 points spanning +-20
-    scales."""
-    bound = privacy_ratio_bound(noise_scale, 1.0)
-    xs = np.linspace(-20.0 * noise_scale, 20.0 * noise_scale, 10_000)
-    ratio = lap_density(noise_scale, xs) / lap_density(noise_scale, xs - 1.0)
+    scales.  The density is f(x) = exp(-|x|/scale) / (2*scale)."""
+    scale = _check_scale(noise_scale)
+    bound = math.exp(1.0 / scale)
+    xs = np.linspace(-20.0 * scale, 20.0 * scale, 10_000)
+    f, f_shifted = (np.exp(-np.abs(x) / scale) / (2.0 * scale) for x in (xs, xs - 1.0))
+    ratio = f / f_shifted
     worst = float(np.max(np.maximum(ratio, 1.0 / ratio)))
     violations = []
     if worst > bound + TOL:

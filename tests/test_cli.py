@@ -145,17 +145,20 @@ def test_unparsable_config_is_a_config_error(tmp_path, capsys, content, reason):
 
 
 def test_config_is_read_as_utf_8(tmp_path):
-    # a non-ASCII key reads the same in an ASCII locale, UTF-8 mode off
+    # a non-ASCII key reads the same in an ASCII locale, UTF-8 mode off: an
+    # unknown key, it is named as decoded in the error line
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(json.dumps({**BASE_CONFIG, "comment": "caf\u00e9"},
+    cfg.write_bytes(json.dumps({**BASE_CONFIG, "tr\u00efals": 5},
                                ensure_ascii=False).encode("utf-8"))
     out = tmp_path / "report.json"
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8",
            "PYTHONPATH": str(Path(privauction.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-m", "privauction.cli", "run", str(cfg),
-                           "--output", str(out)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert read_report(out)["records"][0]["k"] == 2
+                           "--output", str(out)], capture_output=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.decode("utf-8") == (
+        "config error: unknown config field 'tr\u00efals'; did you mean 'trials'?\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -204,6 +207,43 @@ def test_missing_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", budget=None)
     assert main(["run", str(cfg)]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+README_CONFIG = json.loads(
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    .split("```json\n")[1].split("```")[0])
+
+# per config level: the keys that lead to its object, a misspelled key added
+# to it, and the known key nearest to that
+MISSPELLED = {
+    "config": ((), "trails", "trials"),
+    "output": (("output",), "fromat", "format"),
+    "sweep": (("sweep",), "parameters", "parameter"),
+    "population": (("population",), "sed", "seed"),
+    "values": (("population", "values"), "pionts", "points"),
+    "bits": (("population", "bits"), "modle", "model"),
+}
+
+
+@pytest.mark.parametrize("base", [BASE_CONFIG, README_CONFIG], ids=["base", "readme"])
+@pytest.mark.parametrize("level", sorted(MISSPELLED))
+def test_unknown_key_is_a_config_error_at_every_level(tmp_path, monkeypatch, capsys,
+                                                      base, level):
+    monkeypatch.chdir(tmp_path)   # the README's output path is relative
+    config = json.loads(json.dumps(base))
+    config.setdefault("output", {})
+    config.setdefault("sweep", {"parameter": "budget", "values": [1.0]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--output", "known.json"]) == 0
+    path, key, near = MISSPELLED[level]
+    functools.reduce(dict.__getitem__, path, config)[key] = 1
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown {level} field {key!r}; did you mean {near!r}?\n")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "known.json"]
 
 
 def test_both_budget_and_alpha_rejected(tmp_path):

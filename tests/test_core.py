@@ -238,10 +238,11 @@ def test_spec_is_read_only_and_keeps_its_own_copy():
 
 
 def test_spec_to_dict_is_plain_floats_and_known_keys():
+    # a key the spec does not know is an error, at each level: see
+    # tests/test_cli.py::test_unknown_key_is_a_config_error_at_every_level
     spec = PopulationSpec.from_dict({
-        "n": 2, "seed": 4, "color": "red",
-        "values": {"dist": "point", "points": [1, 2], "unit": "usd"},
-        "bits": {"model": "value_correlated", "threshold": 1, "note": None}})
+        "n": 2, "seed": 4, "values": {"dist": "point", "points": [1, 2]},
+        "bits": {"model": "value_correlated", "threshold": 1}})
     d = spec.to_dict()
     assert d == {"n": 2, "seed": 4, "values": {"dist": "point", "points": [1.0, 2.0]},
                  "bits": {"model": "value_correlated", "threshold": 1.0}}

@@ -88,7 +88,8 @@ def test_run_streams_ignore_what_the_last_trial_drew(tmp_path, monkeypatch, name
     _assert_aggregates(_run_record(tmp_path, fields), _reference_estimates(mech, inst), inst)
 
 
-def test_run_builds_at_most_three_streams(tmp_path, monkeypatch):
+def _count_streams(monkeypatch) -> list:
+    """The trial index of each stream built from here on, in order."""
     built = []
 
     def counted(seed, trial):
@@ -97,8 +98,24 @@ def test_run_builds_at_most_three_streams(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dp, "trial_stream", counted)
     monkeypatch.setattr(cli, "trial_stream", counted)
+    return built
+
+
+def test_run_builds_at_most_two_streams(tmp_path, monkeypatch):
+    # one repositioned per trial, and one for the embedded checks
+    built = _count_streams(monkeypatch)
     _run_record(tmp_path, CASES["budget"][0])
-    assert len(built) <= 3
+    assert len(built) <= 2
+
+
+def test_sweep_builds_one_stream_per_point(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": POPULATION, "cost_family": "linear",
+                               "scenario": "budget", "budget": 6.0, "trials": 5,
+                               "sweep": {"parameter": "budget", "values": [1.0, 6.0, 9.0]}}))
+    built = _count_streams(monkeypatch)
+    assert main(["sweep", str(cfg), "--output", str(tmp_path / "report.json")]) == 0
+    assert built == [0, 0, 0]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
