@@ -28,8 +28,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .core import (CostFamily, DomainError, PopulationSpec, _check_integer,
-                   _check_real, _known, generate_population)
+from .core import (CostFamily, DomainError, PopulationSpec, _check_bool,
+                   _check_integer, _check_real, _known, generate_population)
 from .dp import _trial_streams, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                          min_cost_auction)
@@ -42,30 +42,15 @@ class ConfigError(ValueError):
     """The config file failed to parse or validate."""
 
 
-#: The JSON type a top-level config field must have when present; `budget`
-#: and `alpha` are numbers that a float holds, checked by `_check_real`.
-FIELD_TYPES = {"population": (dict, "an object"), "output": (dict, "an object"),
-               "sweep": (dict, "an object"), "trials": (int, "an integer"),
-               "seed": (int, "an integer"), "clamp_estimates": (bool, "true or false"),
-               "negative_control": (bool, "true or false")}
-
-
 #: The optional config fields, each passed on only when the config gives it,
-#: so that its default is the one on `ExperimentConfig`; and the fields that
-#: `output`'s keys set.
-OPTIONAL_FIELDS = ("budget", "alpha", "trials", "seed", "sweep", "clamp_estimates",
-                   "negative_control")
+#: so that its default is the one on `ExperimentConfig`, and the one check its
+#: value passes, whether it comes from the file, an option or a sweep point;
+#: and the fields that `output`'s keys set.
+OPTIONAL_FIELDS = {"budget": _check_real, "alpha": _check_real, "trials": _check_integer,
+                   "seed": _check_integer,
+                   "sweep": lambda name, x: _known(name, x, ("parameter", "values")),
+                   "clamp_estimates": _check_bool, "negative_control": _check_bool}
 OUTPUT_FIELDS = {"path": "output_path", "format": "output_format"}
-
-
-def _has_type(value, kind) -> bool:
-    """isinstance, except that true and false are never numbers."""
-    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-
-
-def _non_finite(value) -> bool:
-    """Whether a number is an inf or NaN float (a JSON 1e400, Infinity or NaN)."""
-    return isinstance(value, float) and not math.isfinite(value)
 
 
 @dataclass
@@ -84,6 +69,12 @@ class ExperimentConfig:
     negative_control: bool = False
 
     def __post_init__(self):
+        # None is "absent" only for a field whose default is None; `budget`
+        # and `alpha` are checked, but kept as given: 400 stays 400
+        for name, check in OPTIONAL_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None or self.__dataclass_fields__[name].default is not None:
+                check(name, value)
         if self.scenario not in ("budget", "accuracy"):
             raise ConfigError(f"scenario must be 'budget' or 'accuracy', got {self.scenario!r}")
         if self.scenario == "budget" and (self.budget is None or self.alpha is not None):
@@ -105,9 +96,9 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep parameter {param!r} is not a field of the "
                                   f"{bits['model']!r} bit model")
             # the report echoes every swept value, and JSON holds no inf or NaN
-            if not (isinstance(values, list) and values
-                    and all(_has_type(v, (int, float)) and not _non_finite(v)
-                            for v in values)):
+            if not (isinstance(values, list) and values and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and (isinstance(v, int) or math.isfinite(v)) for v in values)):
                 raise ConfigError("sweep values must be a non-empty list of finite numbers")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(f"output path must be a string, got {self.output_path!r}")
@@ -130,22 +121,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
-        for key, (kind, what) in FIELD_TYPES.items():
-            if key in raw and not _has_type(raw[key], kind):
-                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
         try:
             _known("config", raw, ("scenario", "population", "cost_family", "output",
                                    *OPTIONAL_FIELDS))
-            _known("output", raw.get("output", {}), OUTPUT_FIELDS)
-            _known("sweep", raw.get("sweep", {}), ("parameter", "values"))
-            for key in ("budget", "alpha"):
-                if key in raw:   # checked, but echoed as given: 400 stays 400
-                    _check_real(key, raw[key])
+            output = raw.get("output", {})
+            _known("output", output, OUTPUT_FIELDS)
             population = PopulationSpec.from_dict(raw["population"])
             family = CostFamily(raw["cost_family"])
-            output = raw.get("output", {})
             return cls(
                 scenario=raw["scenario"], population=population, cost_family=family,
                 **{key: raw[key] for key in OPTIONAL_FIELDS if key in raw},
@@ -197,7 +179,10 @@ def _run_record(config: ExperimentConfig, inst) -> dict:
     mech = _mechanism(config)
     n = inst.pop.n
     s = inst.pop.total
-    estimates = np.empty(config.trials)
+    try:
+        estimates = np.empty(config.trials)
+    except (ValueError, MemoryError) as exc:   # too many for an array, or for memory
+        raise DomainError(f"cannot hold {config.trials} trial estimates: {exc}") from exc
     for t, rng in enumerate(_trial_streams(config.seed, config.trials)):
         estimates[t] = mech(inst, rng).estimate
     # payments and winner sets are deterministic; take them from one more
@@ -237,10 +222,8 @@ def _quick_verification(config: ExperimentConfig, inst) -> List[dict]:
 
 def _sweep_config(config: ExperimentConfig, value) -> ExperimentConfig:
     param = config.sweep["parameter"]
-    if param in ("budget", "alpha"):
-        return dataclasses.replace(config, **{param: _check_real(param, value)}, sweep=None)
-    if param == "seed":
-        return dataclasses.replace(config, seed=_check_integer("seed", value), sweep=None)
+    if param in ("budget", "alpha", "seed"):
+        return dataclasses.replace(config, **{param: value}, sweep=None)
     # a swept q or threshold replaces that field of the config's own bits
     change = {"n": value} if param == "n" else {"bits": {**config.population.bits, param: value}}
     pop = dataclasses.replace(config.population, **change)

@@ -94,6 +94,14 @@ def _check_real(name: str, x) -> float:
     raise DomainError(f"{name} must be a number that a float holds, got {reprlib.repr(x)}")
 
 
+def _check_bool(name: str, x) -> bool:
+    """`x` unchanged; `DomainError` unless it is true or false (not 0, 1 or
+    the string "false"). The message shortens `x` as `_check_integer` does."""
+    if not isinstance(x, bool):
+        raise DomainError(f"{name} must be true or false, got {reprlib.repr(x)}")
+    return x
+
+
 def cost_eval(family: CostFamily, v, eps):
     """Privacy cost c(v, eps) of an agent with parameter v at privacy level eps.
 
@@ -203,7 +211,10 @@ def _bits_spec(d) -> Mapping:
 
 
 def _known(where: str, given, known) -> None:
-    """`DomainError` naming the first key of `given` not in `known`, and the nearest known key."""
+    """`DomainError` unless `given` is an object (a mapping) whose keys are
+    all in `known`; the error names the first other key and the nearest known one."""
+    if not isinstance(given, Mapping):
+        raise DomainError(f"{where} must be an object, got {reprlib.repr(given)}")
     for key in given:
         if key not in known:
             import difflib   # only on this error path: its import costs ~1.8 ms
@@ -256,11 +267,11 @@ class PopulationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
+        _known("population", d, cls.__dataclass_fields__)
         try:
             values, bits, n = d["values"], d["bits"], d["n"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise _field_error(exc) from exc
-        _known("population", d, cls.__dataclass_fields__)
         return cls(n=n, values=values, bits=bits, seed=d.get("seed", 0))
 
 

@@ -112,15 +112,15 @@ def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
         k, price, kth = np.zeros(m, dtype=np.intp), np.zeros(m), np.full(m, -np.inf)
     else:
         ks = np.arange(1, n)
-        cap = budget / ks
         # for every k in [1, n-1], the costs at eps = 1/(n-k) of the k-th
         # cheapest report and of the first one excluded
         last_in, first_out = cost_eval(
             model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
-        k = ((last_in <= cap) * ks).max(axis=1)   # the largest feasible k, 0 if none
+        with np.errstate(over="ignore"):   # an overflowed charge is not affordable
+            k = ((ks * last_in <= budget) * ks).max(axis=1)   # the largest affordable k, 0 if none
         at = np.arange(m), k - 1   # a row with k = 0 pays its price to no one
         # + 0.0: a zero price is +0.0, whatever order the sort gave -0.0 and 0.0
-        price = np.minimum(cap, first_out)[at] + 0.0
+        price = np.minimum(budget / ks, first_out)[at] + 0.0
         kth = np.where(k > 0, v_sorted[at], -np.inf)   # the k-th cheapest report
 
     won = _k_cheapest(values, k, kth)
@@ -188,7 +188,9 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
         # cheapest report is the truthful sorted value at k' - 1 + d
         at = ks - 1 + np.arange(-1, 2)[:, None]
         fits = (ks >= 1) & (at >= 0)
-        fits &= cost_eval(model, v_sorted.take(at, mode="clip"), eps) <= cap
+        with np.errstate(over="ignore"):   # max(k, 1): no 0 * inf at k = 0
+            charge = np.maximum(ks, 1) * cost_eval(model, v_sorted.take(at, mode="clip"), eps)
+        fits &= charge <= budget
         last = np.maximum.accumulate(np.where(fits, ks, 0), axis=1)
         return v_sorted, s, composite, eps, cap, last
 
@@ -201,7 +203,8 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
 
     own_k = p + 1
     own_fits = own_k <= last_k
-    own_fits &= cost_eval(model, reports, eps.take(own_k, mode="clip")) <= budget / own_k
+    with np.errstate(over="ignore"):
+        own_fits &= own_k * cost_eval(model, reports, eps.take(own_k, mode="clip")) <= budget
     k = np.maximum.reduce([
         last[1, np.minimum(p, s)],                   # k <= p, k <= s
         best(1, s + 1, p),                           # s < k <= p
@@ -220,8 +223,9 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
 def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutcome:
     """Budget-constrained auction.
 
-    Picks the largest k in [1, n-1] such that the k-th cheapest seller's cost
-    at eps = 1/(n-k) is at most budget/k, buys from the k cheapest, and pays
+    Picks the largest k in [1, n-1] such that k times the k-th cheapest
+    seller's cost at eps = 1/(n-k) is at most the budget (the envy-free
+    oracle's test), buys from the k cheapest, and pays
     each winner min(budget/k, cost of the first excluded seller).  The
     allocation is `fair_query.rule`, run on the reports as a one-row matrix
     once per instance (`_truthful`).

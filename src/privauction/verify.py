@@ -184,11 +184,12 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
     that costs O(log n) a candidate after a set-up it builds once per
     instance (Archer & Tardos, FOCS'01), so memory stays O(`_BLOCK_CELLS` +
     n).  Its payments are upper bounds: `fair_query`'s budget nudge, which
-    only lowers a price, is left out.  Only the
-    candidates whose bound beats the truthful utility by more than `TOL` go
-    through the allocation rule, `mechanism.rule`, as rows of report
-    matrices of at most `_BLOCK_CELLS` cells, and their exact utilities
-    decide.  Violations are listed by agent, then by ascending candidate.
+    only lowers a price, is left out.  Only the candidates whose bound beats
+    the truthful utility by more than `_tolerance` of the larger of her two
+    payments go through the allocation rule, `mechanism.rule`, as rows of
+    report matrices of at most `_BLOCK_CELLS` cells, and their exact
+    utilities decide.  Violations are listed by agent, then by ascending
+    candidate.
 
     Fails closed with `DomainError`: on a non-finite report or price in any
     row, as the rule's `Allocation` does; when the sweep at each agent's own
@@ -216,13 +217,14 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
                 and (pay[:m] >= true_pay[lo:hi]).all()):
             raise DomainError("the unilateral form does not reproduce the truthful run")
         bound = pay - cost_eval(model, values[a], eps)
-        rows = m + np.flatnonzero(~(bound[m:] <= true_util[agents] + TOL))
-        violations += _rule_violations(mechanism, instance, true_util,
+        tol = _tolerance(np.maximum(pay[m:], true_pay[agents]))
+        rows = m + np.flatnonzero(~(bound[m:] <= true_util[agents] + tol))
+        violations += _rule_violations(mechanism, instance, true_pay, true_util,
                                        a[rows], c[rows], bound[rows])
     return VerificationReport("truthfulness", violations)
 
 
-def _rule_violations(mechanism: Mechanism, instance: Instance, true_util,
+def _rule_violations(mechanism: Mechanism, instance: Instance, true_pay, true_util,
                      agents, candidates, bounds) -> List[dict]:
     """The truthfulness violations among the candidate rows in which agent
     agents[j] alone reports candidates[j], by the exact utilities of
@@ -237,12 +239,12 @@ def _rule_violations(mechanism: Mechanism, instance: Instance, true_util,
         reports = np.tile(values, (rows.size, 1))
         reports[rows, a] = c
         alloc = mechanism.rule(instance, reports)
-        util = alloc.payments[rows, a] - cost_eval(model, values[a],
-                                                   alloc.epsilons[rows, a])
+        pay = alloc.payments[rows, a]
+        util = pay - cost_eval(model, values[a], alloc.epsilons[rows, a])
         if not (util <= bounds[lo:lo + step]).all():
             raise DomainError("the allocation rule pays a misreport more than "
                               "the unilateral form's bound")
-        won = np.flatnonzero(util > true_util[a] + TOL)
+        won = np.flatnonzero(util > true_util[a] + _tolerance(np.maximum(pay, true_pay[a])))
         gain = util[won] - true_util[a[won]]
         violations += [{"agent": i, "datum": v, "delta": d} for i, v, d in
                        zip(a[won].tolist(), c[won].tolist(), gain.tolist())]

@@ -15,6 +15,7 @@ import pytest
 import privauction
 from privauction import cli
 from privauction.cli import ConfigError, ExperimentConfig, main
+from privauction.core import DomainError
 from privauction.dp import ACCURACY_CONST
 
 
@@ -608,6 +609,73 @@ def test_swept_value_beyond_float_is_that_rows_error(tmp_path, param):
     # the row echoes the value as given, and its error shortens it
     assert bad == {"swept_value": BEYOND_FLOAT,
                    "error": f"{param} must be a number that a float holds, got {BEYOND_FLOAT_SHOWN}"}
+
+
+# what the file gives and what an option overrides (`main` applies it with
+# `dataclasses.replace`, as `_sweep_config` applies a sweep point) pass the
+# one check that `OPTIONAL_FIELDS` names for the field
+MISTYPED_OPTIONAL = {
+    "budget": ({}, "2"),
+    "alpha": ({"scenario": "accuracy", "budget": None, "alpha": 0.9}, True),
+    "trials": ({}, 2.5),
+    "seed": ({}, "1"),
+    "sweep": ({}, [1]),
+    "clamp_estimates": ({}, 1),
+    "negative_control": ({}, "false"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MISTYPED_OPTIONAL))
+def test_optional_field_from_file_or_override_has_one_check(tmp_path, capsys, field):
+    fields, bad = MISTYPED_OPTIONAL[field]
+    config = ExperimentConfig.from_file(write_config(tmp_path, "ok.json", **fields))
+    with pytest.raises(DomainError) as exc:
+        dataclasses.replace(config, **{field: bad})
+    cfg = write_config(tmp_path, "cfg.json", **{**fields, field: bad})
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    assert set(MISTYPED_OPTIONAL) == set(cli.OPTIONAL_FIELDS)
+
+
+def test_trial_count_beyond_an_array_exits_two(tmp_path, capsys):
+    # numpy refuses this size before it allocates anything; it once exited 1
+    # with a ValueError traceback, in a run and in each sweep row
+    cfg = write_config(tmp_path, "cfg.json", trials=10 ** 20)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot hold 100000000000000000000 trial estimates: ")
+    assert err.count("\n") == 1
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, "cfg.json", output={"path": str(out)},
+                       sweep={"parameter": "budget", "values": [1, 2]})
+    assert main(["sweep", str(cfg), "--trials", str(10 ** 20)]) == 0
+    errors = [rec["error"] for rec in read_report(out)["records"]]
+    assert errors == [err[len("error: "):-1]] * 2
+
+
+class NoRoomForTrials:
+    """numpy, except that `empty` of more than 1000 numbers raises
+    MemoryError, as numpy's does for a trial count too large for memory."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(n):
+        if n > 1000:
+            raise MemoryError(f"Unable to allocate {8 * n} bytes")
+        return np.empty(n)
+
+
+def test_trial_count_too_large_for_memory_exits_two(tmp_path, monkeypatch, capsys):
+    # this once ended in a MemoryError traceback and exit 1
+    monkeypatch.setattr(cli, "np", NoRoomForTrials())
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "cfg.json", trials=2000, output={"path": str(out)})
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot hold 2000 trial estimates: Unable to allocate 16000 bytes\n")
+    assert not out.exists()
 
 
 # --- sweep ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The array forms of the input rule and of the envy-free winner oracle
-against the definitions they replace.
+against the definitions they replace, and `fair_query` against that oracle
+at the budgets where rounding decides.
 
 Both compare numpy's array kernels (reductions, SIMD `expm1`) with scalar
 calls, whose dispatch can differ by CPU level, so CI runs this file on more
@@ -17,7 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 from privauction.core import (ALL_FAMILIES, CostFamily, DomainError, Population,
                               _check_nonneg_finite, cost_eval)
-from privauction.verify import oracle_max_winners_envy_free
+from privauction.mechanisms import BudgetInstance, fair_query
+from privauction.verify import (check_truthfulness, oracle_max_winners_envy_free,
+                                pay_your_bid_control, run_suite)
 
 # --- the input rule ----------------------------------------------------------
 
@@ -151,3 +154,33 @@ def test_oracle_with_overflowing_prices_warns_nothing():
         for family, k in ((CostFamily.EXP_ARG, 1), (CostFamily.LINEAR, 2)):
             assert oracle_max_winners_envy_free(pop, family, 1e308) == k
             assert reference_max_winners(pop, family, 1e308) == k
+
+
+# --- fair_query at the oracle's edges ----------------------------------------
+
+def test_fair_query_buys_what_the_oracle_affords():
+    # at a budget of exactly k * c_k, budget / k can round one ulp below c_k:
+    # a rule that tested c_k <= budget / k bought one winner fewer here (47
+    # triples), and its threshold payments' one-ulp gains read as 105
+    # truthfulness violations under an absolute tolerance
+    instances = [BudgetInstance(pop=pop, model=family, budget=budget)
+                 for pop, family, budget in oracle_cases(seed=12, count=150)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in instances:
+            assert (fair_query(inst, np.random.default_rng(0)).winner_count
+                    == oracle_max_winners_envy_free(inst.pop, inst.model, inst.budget))
+        reports = run_suite(instances)
+    assert {r.property_name: r.violations for r in reports if not r.passed} == {}
+
+
+def test_pay_your_bid_control_with_huge_payments_is_still_caught():
+    # payments near 1e222: the tolerance relative to them is ~1e213, far
+    # below an overreport's gain, which is a tenth of her payment
+    pop = Population(bits=[1, 0, 1, 1], values=np.array([1.0, 2.0, 4.0, 8.0]) * 1e222)
+    inst = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=2e222)
+    assert fair_query(inst, np.random.default_rng(0)).payments.tolist() == [1e222, 1e222, 0, 0]
+    assert check_truthfulness(fair_query, inst).passed
+    report = check_truthfulness(pay_your_bid_control, inst)
+    assert not report.passed
+    assert min(v["delta"] for v in report.violations) > 1e220

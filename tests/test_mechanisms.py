@@ -17,12 +17,12 @@ RNG = lambda s=0: np.random.default_rng(s)
 
 
 def brute_force_budget_k(values, model, budget):
-    """Oracle: largest k in [1, n-1] with c(v_(k), 1/(n-k)) <= B/k, else 0."""
+    """Oracle: largest k in [1, n-1] with k * c(v_(k), 1/(n-k)) <= B, else 0."""
     v = np.sort(values, kind="stable")
     n = len(v)
     best = 0
     for k in range(1, n):
-        if cost_eval(model, v[k - 1], 1.0 / (n - k)) <= budget / k:
+        if k * cost_eval(model, v[k - 1], 1.0 / (n - k)) <= budget:
             best = k
     return best
 

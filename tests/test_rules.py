@@ -129,7 +129,8 @@ def ranking_fair_query(inst, values):
         cap = budget / ks
         last_in, first_out = cost_eval(
             model, np.stack([v_sorted[:, :-1], v_sorted[:, 1:]]), 1.0 / (n - ks))
-        k = ((last_in <= cap) * ks).max(axis=1)
+        with np.errstate(over="ignore"):
+            k = ((ks * last_in <= budget) * ks).max(axis=1)
         price = np.where(k > 0, np.minimum(cap, first_out)[np.arange(m), k - 1], 0.0) + 0.0
     won = _first(order, k)
     payments = np.where(won, price[:, None], 0.0)

@@ -252,7 +252,7 @@ def reference_check_truthfulness(mechanism, inst):
         for v_prime in grid_for(pop.values, i):
             out = misreport_run(mechanism, inst, i, v_prime)
             util = out.payments[i] - cost_eval(inst.model, pop.values[i], out.epsilons[i])
-            if util > true_util[i] + TOL:
+            if util > true_util[i] + TOL * max(1.0, out.payments[i], truthful.payments[i]):
                 violations.append({"agent": int(i), "datum": float(v_prime),
                                    "delta": float(util - true_util[i])})
     return {"property": "truthfulness", "pass": not violations,
@@ -299,9 +299,10 @@ def batched_check_truthfulness(mechanism, inst, block_cells=1 << 16):
         reports = np.tile(values, (rows.size, 1))
         reports[rows, agents] = candidates
         alloc = mechanism.rule(inst, reports)
-        util = alloc.payments[rows, agents] - cost_eval(
-            model, values[agents], alloc.epsilons[rows, agents])
-        for j in np.flatnonzero(util > true_util[agents] + TOL):
+        pay = alloc.payments[rows, agents]
+        util = pay - cost_eval(model, values[agents], alloc.epsilons[rows, agents])
+        tol = TOL * np.maximum(1.0, np.maximum(pay, truthful.payments[agents]))
+        for j in np.flatnonzero(util > true_util[agents] + tol):
             i = int(agents[j])
             violations.append({"agent": i, "datum": float(candidates[j]),
                                "delta": float(util[j] - true_util[i])})
