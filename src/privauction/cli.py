@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .core import (CostFamily, DomainError, PopulationSpec, _check_bool,
+from .core import (ALL_FAMILIES, CostFamily, DomainError, PopulationSpec, _check_bool,
                    _check_integer, _check_real, _known, generate_population)
 from .dp import _trial_streams, trial_stream
 from .mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
@@ -127,7 +127,11 @@ class ExperimentConfig:
             output = raw.get("output", {})
             _known("output", output, OUTPUT_FIELDS)
             population = PopulationSpec.from_dict(raw["population"])
-            family = CostFamily(raw["cost_family"])
+            try:
+                family = CostFamily(raw["cost_family"])
+            except ValueError:   # the enum's message names neither field nor families
+                raise ConfigError("cost_family must be one of " + ", ".join(
+                    repr(f.value) for f in ALL_FAMILIES) + f", got {raw['cost_family']!r}")
             return cls(
                 scenario=raw["scenario"], population=population, cost_family=family,
                 **{key: raw[key] for key in OPTIONAL_FIELDS if key in raw},

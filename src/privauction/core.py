@@ -1,8 +1,8 @@
 """Domain types: populations, cost-function families, allocations and
 mechanism outcomes.
 
-All types are immutable after construction and all operations are pure
-given explicit seeds.
+All types but the per-trial `MechanismOutcome` (slotted, not frozen: ~0.3 us
+less a trial) are immutable; all operations are pure given explicit seeds.
 """
 
 from __future__ import annotations
@@ -102,6 +102,13 @@ def _check_bool(name: str, x) -> bool:
     return x
 
 
+def _check_object(name: str, x) -> Mapping:
+    """`x` unchanged; `DomainError` unless it is an object (a mapping)."""
+    if not isinstance(x, Mapping):
+        raise DomainError(f"{name} must be an object, got {reprlib.repr(x)}")
+    return x
+
+
 def cost_eval(family: CostFamily, v, eps):
     """Privacy cost c(v, eps) of an agent with parameter v at privacy level eps.
 
@@ -176,7 +183,7 @@ class Population:
 def _values_spec(d) -> Mapping:
     """A config's `values` object, checked: a read-only copy of its known
     fields, each number read as a float and `points` as a tuple."""
-    dist = d["dist"]
+    dist = _check_object("values", d)["dist"]
     if dist == "uniform":
         lo, hi = _check_real("lo", d["lo"]), _check_real("hi", d["hi"])
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
@@ -196,7 +203,7 @@ def _values_spec(d) -> Mapping:
 
 def _bits_spec(d) -> Mapping:
     """A config's `bits` object, checked and copied as `_values_spec` does."""
-    model = d["model"]
+    model = _check_object("bits", d)["model"]
     if model == "independent":
         q = _check_real("q", d["q"])
         if not 0.0 <= q <= 1.0:
@@ -211,11 +218,9 @@ def _bits_spec(d) -> Mapping:
 
 
 def _known(where: str, given, known) -> None:
-    """`DomainError` unless `given` is an object (a mapping) whose keys are
-    all in `known`; the error names the first other key and the nearest known one."""
-    if not isinstance(given, Mapping):
-        raise DomainError(f"{where} must be an object, got {reprlib.repr(given)}")
-    for key in given:
+    """`DomainError` unless `given` is an object (`_check_object`) whose keys
+    are all in `known`; the error names the first other key and the nearest known one."""
+    for key in _check_object(where, given):
         if key not in known:
             import difflib   # only on this error path: its import costs ~1.8 ms
             near = difflib.get_close_matches(str(key), list(known), n=1, cutoff=0.0)
@@ -224,7 +229,7 @@ def _known(where: str, given, known) -> None:
 
 def _field_error(exc: Exception) -> DomainError:
     """The error for a spec's missing (`KeyError`) or mistyped (`TypeError`,
-    e.g. a list where an object belongs) field."""
+    e.g. a number where the list of points belongs) field."""
     what = "missing field" if isinstance(exc, KeyError) else "has a field of the wrong type:"
     return DomainError(f"population spec {what} {exc}")
 
@@ -366,14 +371,14 @@ def _k_cheapest(keys: np.ndarray, k: np.ndarray, kth: np.ndarray) -> np.ndarray:
     return won
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class MechanismOutcome:
     """What a mechanism run produced: the random estimate and the
     deterministic one-row `Allocation` it was drawn for.
 
     Payments, privacy levels and the winner count are read from the
     allocation's only row, per original agent index; the allocation has
-    validated them.
+    validated them.  Slotted, not frozen: see the module docstring.
     """
 
     estimate: float

@@ -45,9 +45,9 @@ def _laplace(u: float, scale: float) -> float:
     `_SMALLEST_U`.  The scale is not checked here."""
     half = (u or _SMALLEST_U) - 0.5
     sign = (half > 0) - (half < 0)
-    # np.log1p, not math.log1p: the two differ in the last ulp on some
-    # inputs, and every seeded estimate is drawn through this one
-    return float(-scale * sign * np.log1p(-2.0 * abs(half)))
+    # np.log1p, not math.log1p, which differs in the last ulp on some inputs
+    # that seeded draws reach; Python floats then multiply as float64 does
+    return -scale * sign * float(np.log1p(-2.0 * abs(half)))
 
 
 def lap_sample(scale: float, rng: np.random.Generator, size=None):

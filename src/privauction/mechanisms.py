@@ -95,9 +95,12 @@ def _truthful(inst, rule) -> EstimatorPlan:
 
 
 def _outcome(inst, rule, rng: np.random.Generator) -> MechanismOutcome:
-    """A mechanism run: the instance's kept allocation by `rule` and one
-    noisy sum over its winners' bits."""
-    plan = _truthful(inst, rule)
+    """A mechanism run: the instance's kept allocation by `rule`, one lookup
+    once `_truthful` has built it, and one noisy sum over its winners' bits."""
+    try:
+        plan = inst.__dict__["_kept"][rule]
+    except KeyError:
+        plan = _truthful(inst, rule)
     return MechanismOutcome(laplace_estimator(plan, rng), plan.allocation)
 
 

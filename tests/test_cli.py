@@ -296,6 +296,16 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, raw):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("family, shown", [("x", "'x'"), (["linear"], "['linear']")],
+                         ids=["unknown", "list"])
+def test_bad_cost_family_names_the_field_and_the_families(tmp_path, capsys, family, shown):
+    cfg = write_config(tmp_path, "cfg.json", cost_family=family)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cost_family must be one of 'linear', 'quadratic', 'exp_scaled', "
+        f"'exp_arg', got {shown}\n")
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_negative_control_outside_the_budget_scenario_is_a_config_error(
         tmp_path, capsys, command):

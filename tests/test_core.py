@@ -201,7 +201,11 @@ SPEC_REJECTIONS = {
     "unknown-model": (UNIFORM, {"model": "copula"}, "unknown bit model 'copula'"),
     "missing-field": ({"dist": "uniform", "lo": 0.0}, HALF,
                       "population spec missing field 'hi'"),
-    "list-for-object": (UNIFORM, [0.5], "population spec has a field of the wrong type"),
+    "list-for-object": (UNIFORM, [0.5], "bits must be an object, got [0.5]"),
+    "null-bits": (UNIFORM, None, "bits must be an object, got None"),
+    "string-values": ("uniform", HALF, "values must be an object, got 'uniform'"),
+    "number-for-points": ({"dist": "point", "points": 5}, HALF,
+                          "population spec has a field of the wrong type"),
 }
 
 

@@ -112,6 +112,15 @@ def test_scalar_and_vector_samples_agree_bit_for_bit(scale):
     assert (np.diff(mapped[np.argsort(PINNED_UNIFORMS, kind="stable")]) >= 0).all()
 
 
+@pytest.mark.parametrize("scale", [1.0, 95.0])
+def test_a_scalar_draw_is_a_python_float(scale):
+    # the report encoder and `_check_nonneg_finite` take a Python float,
+    # not a numpy scalar; u = 0 and u = 1/2 (a zero draw) included
+    assert {0.0, 0.5} <= set(PINNED_UNIFORMS.tolist())
+    assert all(type(_laplace(u, scale)) is float for u in PINNED_UNIFORMS.tolist())
+    assert type(lap_sample(scale, ReplayUniforms(PINNED_UNIFORMS))) is float
+
+
 def test_sample_scale_validation():
     with pytest.raises(DomainError):
         lap_sample(0.0, np.random.default_rng(0))

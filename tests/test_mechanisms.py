@@ -8,7 +8,7 @@ from corpus import with_values
 from privauction import mechanisms, verify
 from privauction.core import (ALL_FAMILIES, CostFamily, DomainError, Population,
                               PopulationSpec, cost_eval, generate_population)
-from privauction.dp import ACCURACY_CONST
+from privauction.dp import ACCURACY_CONST, trial_estimates, trial_stream
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
                                     fair_query, min_cost_auction)
 from privauction.verify import pay_your_bid_control
@@ -210,6 +210,28 @@ def test_repeated_calls_evaluate_the_rule_once(cost_evals, which):
     assert all(out.allocation is outs[0].allocation for out in outs)
     assert not outs[0].payments.flags.writeable
     assert len({out.estimate for out in outs}) == 5   # only the noise is redrawn
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["fair_query", "min_cost_auction"])
+def test_a_kept_plan_is_read_without_rebuilding(monkeypatch, which):
+    # after the first call, a call reads the kept plan without `_truthful`,
+    # and still draws what trial t's stream gives over that plan
+    mechanism, inst = _both_instances()[which]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return truthful(*args)
+
+    truthful = mechanisms._truthful
+    monkeypatch.setattr(mechanisms, "_truthful", counted)
+    outs = [mechanism(inst, trial_stream(7, t)) for t in range(100)]
+    assert len(built) == 1
+    plan = vars(inst)["_kept"][mechanism.rule]
+    expected = trial_estimates(plan, 7, 100)
+    got = np.array([out.estimate for out in outs])
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert all(type(out.estimate) is float for out in outs)
 
 
 def test_replaced_instance_gets_a_fresh_allocation(cost_evals):
