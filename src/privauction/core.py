@@ -115,8 +115,11 @@ def cost_eval(family: CostFamily, v, eps):
     Accepts scalars or numpy arrays (broadcasting); returns the same shape.
     A cost too large for a float is inf, without a warning.
     """
-    v = _check_nonneg_finite("v", v)
-    eps = _check_nonneg_finite("eps", eps)
+    return _cost(family, _check_nonneg_finite("v", v), _check_nonneg_finite("eps", eps))
+
+
+def _cost(family: CostFamily, v: np.ndarray, eps: np.ndarray):
+    """`cost_eval` on float arrays already checked where they entered."""
     # An inf cost is the right operand for every caller: it ranks its agent
     # last, fails every budget test and gives her -inf utility, and
     # `Allocation` rejects it as a price or payment, so numpy's overflow
@@ -195,7 +198,11 @@ def _values_spec(d) -> Mapping:
             raise DomainError("lognormal values require finite mu and sigma >= 0")
         return MappingProxyType({"dist": "lognormal", "mu": mu, "sigma": sigma})
     if dist == "point":
-        points = tuple(_check_real("points", p) for p in d["points"])
+        points = d["points"]
+        # a JSON list, the tuple a checked spec keeps, or a 1-d array
+        if not isinstance(points, (list, tuple, np.ndarray)) or getattr(points, "ndim", 1) != 1:
+            raise DomainError(f"points must be a list of numbers, got {reprlib.repr(points)}")
+        points = tuple(_check_real("points", p) for p in points)
         _check_nonneg_finite("points", points)
         return MappingProxyType({"dist": "point", "points": points})
     raise DomainError(f"unknown value distribution {dist!r}")
@@ -227,11 +234,9 @@ def _known(where: str, given, known) -> None:
             raise DomainError(f"unknown {where} field {key!r}; did you mean {near[0]!r}?")
 
 
-def _field_error(exc: Exception) -> DomainError:
-    """The error for a spec's missing (`KeyError`) or mistyped (`TypeError`,
-    e.g. a number where the list of points belongs) field."""
-    what = "missing field" if isinstance(exc, KeyError) else "has a field of the wrong type:"
-    return DomainError(f"population spec {what} {exc}")
+def _field_error(exc: KeyError) -> DomainError:
+    """The error for a spec's missing field."""
+    return DomainError(f"population spec missing field {exc}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ class PopulationSpec:
     def __post_init__(self):
         try:
             values, bits = _values_spec(self.values), _bits_spec(self.bits)
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise _field_error(exc) from exc
         _known("values", self.values, values)
         _known("bits", self.bits, bits)

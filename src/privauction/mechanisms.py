@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_nonneg_finite,
-                   _k_cheapest, cost_eval)
+                   _k_cheapest)
+from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
 

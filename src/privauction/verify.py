@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_integer,
-                   _check_nonneg_finite, _tolerance, cost_eval)
+                   _check_nonneg_finite, _tolerance)
+from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import (ACCURACY_CONST, EstimatorPlan, _check_scale, trial_estimates,
                  trial_stream)
 from .mechanisms import (AccuracyInstance, BudgetInstance, _kept, _truthful,
@@ -177,19 +178,20 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
 
     Payments and privacy levels are deterministic, so the comparison is exact
     and needs no expectation over noise.  The mechanism runs once on the
-    truthful reports.  The grid is built block by block of agents
-    (`_misreport_blocks`), each block led by its agents' own values,
-    and each block goes through the mechanism's unilateral form,
-    `mechanism.unilateral`, a pivot sweep over the deviating agent's rank
-    that costs O(log n) a candidate after a set-up it builds once per
-    instance (Archer & Tardos, FOCS'01), so memory stays O(`_BLOCK_CELLS` +
-    n).  Its payments are upper bounds: `fair_query`'s budget nudge, which
-    only lowers a price, is left out.  Only the candidates whose bound beats
-    the truthful utility by more than `_tolerance` of the larger of her two
-    payments go through the allocation rule, `mechanism.rule`, as rows of
-    report matrices of at most `_BLOCK_CELLS` cells, and their exact
-    utilities decide.  Violations are listed by agent, then by ascending
-    candidate.
+    truthful reports, on `trial_stream(0, 0)`, whose estimate nothing reads;
+    it stays because the checker is handed a mechanism, not its outcome, and
+    the unilateral form must reproduce that run.  The grid is built block by
+    block of agents (`_misreport_blocks`), each block led by its agents' own
+    values, and each block goes through the mechanism's unilateral form,
+    `mechanism.unilateral`, a pivot sweep over the deviating agent's rank that
+    costs O(log n) a candidate after a set-up it builds once per instance
+    (Archer & Tardos, FOCS'01), so memory stays O(`_BLOCK_CELLS` + n).  Its
+    payments are upper bounds: `fair_query`'s budget nudge, which only lowers
+    a price, is left out.  Only the candidates whose bound beats the truthful
+    utility by more than `_tolerance` of the larger of her two payments go
+    through the allocation rule, `mechanism.rule`, as rows of report matrices
+    of at most `_BLOCK_CELLS` cells, and their exact utilities decide.
+    Violations are listed by agent, then by ascending candidate.
 
     Fails closed with `DomainError`: on a non-finite report or price in any
     row, as the rule's `Allocation` does; when the sweep at each agent's own
@@ -199,8 +201,7 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
     """
     pop, model = instance.pop, instance.model
     values = pop.values
-    rng = np.random.default_rng(0)  # noise does not affect payments or eps
-    truthful = mechanism(instance, rng)
+    truthful = mechanism(instance, trial_stream(0, 0))
     true_k, true_pay, true_eps = (truthful.winner_count, truthful.payments,
                                   truthful.epsilons)
     true_util = true_pay - cost_eval(model, values, true_eps)
@@ -293,7 +294,8 @@ def payment_lower_bound(pop: Population, model: CostFamily, alpha: float) -> flo
     if m <= 0:
         return 0.0
     v_sorted = np.sort(pop.values, kind="stable")
-    return float(cost_eval(model, v_sorted[:m], 1.0 / (4.0 * alpha * n)).sum())
+    eps = _check_nonneg_finite("eps", 1.0 / (4.0 * alpha * n))   # inf for a subnormal alpha
+    return float(cost_eval(model, v_sorted[:m], eps).sum())
 
 
 def impossibility_bound(values) -> float:
@@ -387,7 +389,8 @@ def _repriced(inst: BudgetInstance, values, alloc: Allocation) -> Allocation:
     """`alloc`, `fair_query`'s allocation on an (m, n) matrix of reports
     `values`, with each winner paid her reported cost at her privacy level
     (0 for losers, whose level is 0)."""
-    return Allocation(alloc.won, alloc.k, cost_eval(inst.model, values, alloc.epsilons))
+    return Allocation(alloc.won, alloc.k,
+                      cost_eval(inst.model, np.asarray(values, dtype=float), alloc.epsilons))
 
 
 def _pay_your_bid_rule(inst: BudgetInstance, values) -> Allocation:
@@ -417,7 +420,7 @@ def _pay_your_bid_unilateral(inst: BudgetInstance, agents, reports):
     """`pay_your_bid_control`'s unilateral form: `fair_query`'s, with the
     deviating agent paid her reported cost at her privacy level."""
     k, _, eps, price = fair_query.unilateral(inst, agents, reports)
-    return k, cost_eval(inst.model, reports, eps), eps, price
+    return k, cost_eval(inst.model, np.asarray(reports, dtype=float), eps), eps, price
 
 
 pay_your_bid_control.rule = _pay_your_bid_rule
@@ -497,7 +500,7 @@ def run_suite(instances: Iterable[Instance],
             mech: Mechanism = pay_your_bid_control if negative_control else fair_query
         else:
             mech = min_cost_auction
-        out = mech(inst, np.random.default_rng(idx))
+        out = mech(inst, trial_stream(idx, 0))   # no report reads its estimate
         noise_scales.add(out.noise_scale)
         for report in _outcome_checks(mech, inst, out):
             extend(report, idx)

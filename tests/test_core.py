@@ -1,13 +1,17 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import privauction
+from privauction import core, mechanisms, verify
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
                               MechanismOutcome, Population, PopulationSpec,
-                              _k_cheapest, cost_eval, generate_population)
+                              _check_nonneg_finite, _cost, _k_cheapest, cost_eval,
+                              generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
 from privauction.verify import (check_budget_feasibility, estimate_accuracy,
@@ -72,6 +76,40 @@ def test_ordering_independent_of_eps(family):
 
 
 # --- the one input rule -----------------------------------------------------
+
+# the operands as callers hand them to cost_eval: scalars, 0-d, 1-d, and
+# 2-d by broadcasting, and an exp_arg product past 710 that overflows to inf
+KERNEL_OPERANDS = {
+    "scalars": (2.0, 0.5),
+    "0-d": (np.array(3.0), np.array(0.25)),
+    "1-d-by-scalar": (np.array([0.0, 1.0, 7.5]), 1.0 / 3.0),
+    "1-d": (np.array([0.0, 1.0, 7.5]), np.array([0.5, 0.0, 1.0 / 3.0])),
+    "2-d": (np.array([[0.0], [1.0], [7.5]]), np.array([[0.5, 0.0, 1.0 / 3.0, 2.0]])),
+    "overflow": (np.array([1.0, 800.0]), np.array(1.0)),
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("case", KERNEL_OPERANDS)
+def test_kernel_is_cost_eval_on_checked_operands(family, case):
+    v, eps = KERNEL_OPERANDS[case]
+    want = cost_eval(family, v, eps)
+    v, eps = _check_nonneg_finite("v", v), _check_nonneg_finite("eps", eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _cost(family, v, eps)
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype == np.float64
+    assert np.asarray(got).shape == np.asarray(want).shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if case == "overflow" and family is CostFamily.EXP_ARG:
+        assert np.isinf(got[1])
+
+
+def test_internal_callers_bind_the_kernel():
+    assert mechanisms.cost_eval is verify.cost_eval is core._cost
+    assert privauction.cost_eval is core.cost_eval
+
 
 POP3 = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
 HALF = {"model": "independent", "q": 0.5}
@@ -205,7 +243,11 @@ SPEC_REJECTIONS = {
     "null-bits": (UNIFORM, None, "bits must be an object, got None"),
     "string-values": ("uniform", HALF, "values must be an object, got 'uniform'"),
     "number-for-points": ({"dist": "point", "points": 5}, HALF,
-                          "population spec has a field of the wrong type"),
+                          "points must be a list of numbers, got 5"),
+    "null-points": ({"dist": "point", "points": None}, HALF,
+                    "points must be a list of numbers, got None"),
+    "string-points": ({"dist": "point", "points": "123456"}, HALF,
+                      "points must be a list of numbers, got '123456'"),
 }
 
 

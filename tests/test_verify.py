@@ -19,7 +19,7 @@ from corpus import random_instances, with_values
 from privauction.core import (ALL_FAMILIES, Allocation, CostFamily,
                               DomainError, MechanismOutcome, Population, TOL,
                               cost_eval)
-from privauction.dp import ACCURACY_CONST
+from privauction.dp import ACCURACY_CONST, trial_stream
 from privauction import mechanisms
 from privauction import verify as verify_mod
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance,
@@ -727,6 +727,25 @@ def test_payment_lower_bound_example():
     assert bound == pytest.approx(1.5, abs=1e-12)  # (1+1+2+2) * 1/4
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_payment_lower_bound_checks_the_eps_it_derives(family):
+    # eps = 1/(4 alpha n) overflows for a subnormal alpha; a tiny normal one
+    # gives a finite eps whose cost may overflow, read as an inf bound
+    pop = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="eps must be finite and >= 0"):
+        payment_lower_bound(pop, family, 5e-324)
+    assert payment_lower_bound(pop, family, 1e-200) > 0
+
+
+def test_control_prices_reports_as_floats():
+    inst = BudgetInstance(pop=Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0]),
+                          model=CostFamily.LINEAR, budget=20.0)
+    _, pay, _, _ = pay_your_bid_control.unilateral(inst, np.array([0]), [10**20])
+    assert pay.dtype == np.float64
+    alloc = pay_your_bid_control.rule(inst, [[10**20, 2, 3]])
+    assert alloc.payments.dtype == np.float64
+
+
 def test_impossibility_bound_examples():
     assert impossibility_bound([5.0, 10.0]) == pytest.approx(1.4384103622589042,
                                                              abs=1e-9)
@@ -833,6 +852,24 @@ def test_suite_flags_negative_control():
     reports = run_suite(instances, negative_control=True)
     by_name = {r.property_name: r for r in reports}
     assert not by_name["truthfulness"].passed
+
+
+@pytest.mark.parametrize("negative_control", [False, True], ids=["auctions", "control"])
+def test_no_suite_report_reads_the_noise(monkeypatch, negative_control):
+    # run_suite and check_truthfulness draw from trial_stream only for an
+    # estimate that no report reads, so another seed gives the same reports
+    instances = (random_instances(4, seed=13, n_hi=8, kind="budget")
+                 + random_instances(4, seed=14, n_hi=8, kind="accuracy"))
+    first = [r.to_dict() for r in run_suite(instances, negative_control)]
+    seeds = []
+
+    def reseeded(seed, trial):
+        seeds.append(seed)
+        return trial_stream(seed + 1000, trial)
+
+    monkeypatch.setattr(verify_mod, "trial_stream", reseeded)
+    assert [r.to_dict() for r in run_suite(instances, negative_control)] == first
+    assert len(seeds) == 2 * len(instances)   # one run each, and its truthful re-run
 
 
 @pytest.mark.parametrize("nan_side", ["mechanism", "reference"])
