@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Allocation, DomainError, Population, _check_integer
+from .core import Allocation, DomainError, Population, _check_integer, _check_real
 
 #: ln 3, the tail threshold multiplier at which the two-sided Laplace tail
 #: mass is exactly 1/3.
@@ -28,7 +28,7 @@ ACCURACY_CONST = 0.5 + LN3
 
 
 def _check_scale(scale: float) -> float:
-    scale = float(scale)
+    scale = _check_real("Laplace scale", scale)
     if not math.isfinite(scale) or scale <= 0:
         raise DomainError(f"Laplace scale must be positive and finite, got {scale!r}")
     return scale

@@ -113,10 +113,18 @@ def _misreport_blocks(values: np.ndarray, cells: int):
 # Per-outcome checks
 # ---------------------------------------------------------------------------
 
+def _check_agents(outcome: MechanismOutcome, pop: Population) -> None:
+    """`DomainError` unless the outcome is over the population's n agents."""
+    if outcome.allocation.won.shape[1] != pop.n:
+        raise DomainError("the outcome and the population differ in their number of agents")
+
+
 def check_individual_rationality(outcome: MechanismOutcome, pop: Population,
                                  model: CostFamily) -> VerificationReport:
     """Each agent's payment must cover her cost at her realized privacy level,
-    up to `_tolerance` of the payment; a NaN slack is a violation."""
+    up to `_tolerance` of the payment; a NaN slack is a violation.
+    `DomainError` unless the outcome is over the population's n agents."""
+    _check_agents(outcome, pop)
     costs = cost_eval(model, pop.values, outcome.epsilons)
     slack = outcome.payments - costs
     agents = np.flatnonzero(~(slack >= -_tolerance(outcome.payments)))
@@ -138,7 +146,9 @@ def check_envy_freeness(outcome: MechanismOutcome, pop: Population,
     against each distinct bundle, in O(n * bundles) time and memory, and
     only the rows of agents with a violation are expanded to every envied
     agent.  Violations are listed by agent, then by envied agent.
+    `DomainError` unless the outcome is over the population's n agents.
     """
+    _check_agents(outcome, pop)
     payments = outcome.payments
     # a bundle as one complex number, which numpy orders by payment, then eps
     bundle = payments + 1j * outcome.epsilons
@@ -365,18 +375,19 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
 
 
 def check_estimator_privacy(noise_scale: float) -> VerificationReport:
-    """Analytic DP check: the pointwise ratio of the two output densities of
-    the noisy-sum estimator under a one-bit winner flip, a shift of 1, never
-    exceeds exp(1/noise_scale), checked on 10,000 points spanning +-20
-    scales.  The density is f(x) = exp(-|x|/scale) / (2*scale)."""
+    """Analytic DP check on the closed-form Laplace density, not the sampler
+    that ships: under a one-bit winner flip, a shift of 1, the log density
+    ratio (|x - 1| - |x|)/scale stays within 1/noise_scale either way, up to
+    TOL on the ratio, on 10,000 points spanning +-20 scales; a NaN ratio is a
+    violation.  `DomainError` unless the grid's width, 40 scales, is finite."""
     scale = _check_scale(noise_scale)
+    if not math.isfinite(40.0 * scale):   # else the grid is NaN
+        raise DomainError(f"the privacy grid spans 40 Laplace scales, beyond a float at {scale!r}")
     bound = math.exp(1.0 / scale)
     xs = np.linspace(-20.0 * scale, 20.0 * scale, 10_000)
-    f, f_shifted = (np.exp(-np.abs(x) / scale) / (2.0 * scale) for x in (xs, xs - 1.0))
-    ratio = f / f_shifted
-    worst = float(np.max(np.maximum(ratio, 1.0 / ratio)))
+    worst = math.exp(float(np.max(np.abs(np.abs(xs - 1.0) - np.abs(xs)))) / scale)
     violations = []
-    if worst > bound + TOL:
+    if not worst <= bound + TOL:
         violations.append({"agent": None, "datum": worst, "delta": worst - bound})
     return VerificationReport("estimator_privacy_ratio", violations)
 

@@ -9,6 +9,7 @@ from privauction.core import Allocation, DomainError, Population
 from privauction.dp import (LN3, EstimatorPlan, _laplace, _trial_streams,
                             lap_sample, laplace_estimator, trial_estimates,
                             trial_stream)
+from privauction.verify import check_estimator_privacy
 
 
 def lap_cdf(scale: float, x):
@@ -121,9 +122,15 @@ def test_a_scalar_draw_is_a_python_float(scale):
     assert type(lap_sample(scale, ReplayUniforms(PINNED_UNIFORMS))) is float
 
 
-def test_sample_scale_validation():
-    with pytest.raises(DomainError):
-        lap_sample(0.0, np.random.default_rng(0))
+@pytest.mark.parametrize("check", [
+    lambda scale: lap_sample(scale, np.random.default_rng(0)),
+    check_estimator_privacy,
+], ids=["lap_sample", "check_estimator_privacy"])
+@pytest.mark.parametrize("scale", ["3", True, math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=repr)
+def test_sample_scale_validation(check, scale):
+    with pytest.raises(DomainError, match="Laplace scale"):
+        check(scale)
 
 
 # --- estimator -------------------------------------------------------------

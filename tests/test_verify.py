@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -119,6 +120,18 @@ def test_nan_costs_are_violations(monkeypatch, check):
     monkeypatch.setattr(verify_mod, "cost_eval",
                         lambda model, v, eps: np.full(np.broadcast(v, eps).shape, np.nan))
     assert not check(out, inst.pop, inst.model).passed
+
+
+@pytest.mark.parametrize("check", [check_individual_rationality, check_envy_freeness])
+@pytest.mark.parametrize("n", [1, 8])
+def test_population_of_another_size_rejected(check, n):
+    inst = BudgetInstance(pop=Population(bits=np.ones(16, int), values=np.arange(1.0, 17.0)),
+                          model=CostFamily.LINEAR, budget=20.0)
+    out = fair_query(inst, RNG())
+    assert out.allocation.won.shape[1] == 16
+    other = Population(bits=np.ones(n, int), values=np.zeros(n))
+    with pytest.raises(DomainError, match="number of agents"):
+        check(out, other, CostFamily.LINEAR)
 
 
 def reference_envy_violations(outcome, pop, model):
@@ -894,3 +907,35 @@ def test_nan_payment_totals_are_violations(monkeypatch, nan_side):
 
 def test_estimator_privacy_grid_check():
     assert check_estimator_privacy(3.0).passed
+
+
+def density_ratio_worst(scale: float) -> float:
+    """The worst two-sided ratio f(x)/f(x - 1) of the Laplace density
+    f(x) = exp(-|x|/scale) / (2*scale) on the check's grid, by the densities
+    themselves: the reference for the log-ratio form."""
+    xs = np.linspace(-20.0 * scale, 20.0 * scale, 10_000)
+    f, f_shifted = (np.exp(-np.abs(x) / scale) / (2.0 * scale) for x in (xs, xs - 1.0))
+    ratio = f / f_shifted
+    return float(np.max(np.maximum(ratio, 1.0 / ratio)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 16.0, 95.0, 1e4, 1e6])
+def test_estimator_privacy_matches_the_density_ratio(monkeypatch, scale):
+    # a tolerance of -inf makes every scale a violation, so the report carries worst
+    monkeypatch.setattr(verify_mod, "TOL", -math.inf)
+    (violation,) = check_estimator_privacy(scale).violations
+    assert violation["datum"] == pytest.approx(density_ratio_worst(scale), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [5e306, 1e307, 1.7e308])
+def test_estimator_privacy_rejects_a_grid_beyond_a_float(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="privacy grid"):
+            check_estimator_privacy(scale)
+
+
+def test_estimator_privacy_passes_at_scale_1e306():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_estimator_privacy(1e306).passed
