@@ -94,6 +94,15 @@ def _check_real(name: str, x) -> float:
     raise DomainError(f"{name} must be a number that a float holds, got {reprlib.repr(x)}")
 
 
+def _check_fraction(name: str, x) -> float:
+    """`x` as a float; `DomainError` unless it is a number (`_check_real`)
+    strictly between 0 and 1."""
+    x = _check_real(name, x)
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1)")
+    return x
+
+
 def _check_bool(name: str, x) -> bool:
     """`x` unchanged; `DomainError` unless it is true or false (not 0, 1 or
     the string "false"). The message shortens `x` as `_check_integer` does."""

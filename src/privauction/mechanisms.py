@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
-                   MechanismOutcome, Population, _check_nonneg_finite,
-                   _k_cheapest)
+                   MechanismOutcome, Population, _check_fraction,
+                   _check_nonneg_finite, _k_cheapest)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
@@ -44,8 +44,7 @@ class AccuracyInstance:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("alpha must lie in (0, 1)")
+        _check_fraction("alpha", self.alpha)
         if self.alpha_scaled < 1.0 / self.pop.n:
             raise DomainError(
                 "accuracy target unattainable: alpha/(1/2 + ln 3) must be >= 1/n")
@@ -61,8 +60,12 @@ class AccuracyInstance:
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
 
-def _reports(inst, values) -> np.ndarray:
-    """The (m, n) matrix of reported values, each finite and >= 0."""
+def _reports(inst, scenario: type, values) -> np.ndarray:
+    """The (m, n) matrix of reported values, each finite and >= 0, to a rule
+    that takes an instance of `scenario`."""
+    if not isinstance(inst, scenario):
+        raise DomainError(f"the rule takes {scenario.__name__} instances, "
+                          f"got {type(inst).__name__}")
     values = _check_nonneg_finite("values", values)
     if values.ndim != 2 or values.shape[1] != inst.pop.n:
         raise DomainError("reports must form an (m, n) matrix, n the population size")
@@ -107,8 +110,8 @@ def _outcome(inst, rule, rng: np.random.Generator) -> MechanismOutcome:
 
 def _fair_query_rule(inst: BudgetInstance, values) -> Allocation:
     """`fair_query`'s allocation on each row of an (m, n) matrix of reports."""
+    values = _reports(inst, BudgetInstance, values)
     model, budget = inst.model, inst.budget
-    values = _reports(inst, values)
     m, n = values.shape
     v_sorted = np.sort(values, axis=-1)
 
@@ -239,7 +242,7 @@ def fair_query(inst: BudgetInstance, rng: np.random.Generator) -> MechanismOutco
 
 def _min_cost_rule(inst: AccuracyInstance, values) -> Allocation:
     """`min_cost_auction`'s allocation on each row of an (m, n) matrix of reports."""
-    values = _reports(inst, values)
+    values = _reports(inst, AccuracyInstance, values)
     m, n = values.shape
     k = inst.winner_count
     if k >= n:

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, List, Union
 import numpy as np
 
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
-                   MechanismOutcome, Population, _check_integer,
-                   _check_nonneg_finite, _tolerance)
+                   MechanismOutcome, Population, _check_fraction,
+                   _check_integer, _check_nonneg_finite, _tolerance)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import (ACCURACY_CONST, EstimatorPlan, _check_scale, trial_estimates,
                  trial_stream)
@@ -69,41 +69,32 @@ def _misreport_blocks(values: np.ndarray, cells: int):
     `cells` candidates unless one agent's grid alone is larger, so memory is
     O(cells + n), not O(n^2).
 
-    Between two adjacent pivots (the other agents' values) an agent's report
-    keeps its rank among the others.  `min_cost_auction`'s outcome depends on
-    the report only through that rank.  `fair_query`'s also depends on
-    whether the agent's own cost fits under the budget at her rank, which
-    moves with the report but monotonically within an interval, so each
-    interval's ends decide it.  Agent i's grid is every other agent's value,
-    those values nudged by +-delta = 1e-6 * max(max value, 1) (clipped at 0),
-    zero, and her own value times each of `_MULTIPLIERS`; it therefore
-    witnesses any profitable deviation.  Every candidate is >= 0.
-
-    The union of all grids is built once: a pivot is in agent i's grid
-    unless every copy of it is one of her own three, and her multiples are
-    added back.
+    Every agent's grid is the same pivots (zero, every value and each
+    value's two one-ulp neighbours, toward zero and toward the largest
+    float) plus her own value times each of `_MULTIPLIERS`.  So it reaches
+    every rank among the others (ties by index) that a report can take, at
+    both ends of that rank's interval of reports, since an interval ends at
+    zero, at a value (tied) or one ulp beside it; only the top interval's
+    upper end, the largest float, is left out, and there she ranks last.
+    `min_cost_auction`'s outcome depends on the report only through that
+    rank.  `fair_query`'s also depends on whether the agent's own cost fits
+    under the budget at her rank, which moves with the report but
+    monotonically within an interval, so the interval's ends decide it.
+    Every candidate is >= 0.
     """
-    delta = 1e-6 * max(float(values.max()), 1.0)
-    n = values.size
-    pivots = np.concatenate([[0.0], values, values + delta,
-                             np.maximum(values - delta, 0.0)])
+    pivots = np.concatenate([[0.0], values, np.nextafter(values, 0.0),
+                             np.nextafter(values, np.finfo(float).max)])
     multiples = values[:, None] * np.asarray(_MULTIPLIERS)
     columns = np.unique(np.concatenate([pivots, multiples.ravel()]))
-    at = np.searchsorted(columns, pivots)
-    count = np.bincount(at, minlength=columns.size)
-    own = at[1:].reshape(3, n)       # the zero pivot is nobody's own
-    shared = count > 0
-    # whether another agent's copy keeps each of her own three
-    own_kept = count[own] > (own[:, None, :] == own).sum(axis=1)
+    shared = np.zeros(columns.size, dtype=bool)
+    shared[np.searchsorted(columns, pivots)] = True
     multiples_at = np.searchsorted(columns, multiples)
     # an agent's grid is at most the shared pivots and her multiples
     per_block = max(1, cells // (np.count_nonzero(shared) + len(_MULTIPLIERS)))
-    for lo in range(0, n, per_block):
-        hi = min(lo + per_block, n)
-        rows = np.arange(hi - lo)
-        keep = np.repeat(shared[None, :], rows.size, axis=0)
-        keep[rows, own[:, lo:hi]] = own_kept[:, lo:hi]
-        keep[rows[:, None], multiples_at[lo:hi]] = True
+    for lo in range(0, values.size, per_block):
+        hi = min(lo + per_block, values.size)
+        keep = np.repeat(shared[None, :], hi - lo, axis=0)
+        keep[np.arange(hi - lo)[:, None], multiples_at[lo:hi]] = True
         agents, at = np.nonzero(keep)
         agents += lo
         yield lo, hi, agents, columns[at]
@@ -271,8 +262,7 @@ def check_necessity(epsilons, alpha: float) -> bool:
     carry a privacy level of at least 1/(alpha*n), each up to `_tolerance`;
     a NaN level does not count."""
     epsilons = np.asarray(epsilons, dtype=float)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+    alpha = _check_fraction("alpha", alpha)
     n = epsilons.size
     if n < 1:
         raise DomainError("necessity check needs n >= 1 privacy levels")
@@ -297,8 +287,7 @@ def accuracy_level(outcome: MechanismOutcome) -> float:
 def payment_lower_bound(pop: Population, model: CostFamily, alpha: float) -> float:
     """Minimum total payment of any alpha*n-accurate IR mechanism:
     the (1-4*alpha)n cheapest sellers' costs at eps = 1/(4*alpha*n)."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+    alpha = _check_fraction("alpha", alpha)
     n = pop.n
     m = math.floor((1.0 - 4.0 * alpha) * n)
     if m <= 0:
@@ -453,7 +442,9 @@ def _instance_check(name: str, failed: bool, datum, delta,
 def check_payment_optimality(outcome: MechanismOutcome, pop: Population,
                              model: CostFamily) -> VerificationReport:
     """A k-winner outcome's total payment equals the brute-force minimum for
-    k units, up to `_tolerance` of that minimum; a NaN gap is a violation."""
+    k units, up to `_tolerance` of that minimum; a NaN gap is a violation.
+    `DomainError` unless the outcome is over the population's n agents."""
+    _check_agents(outcome, pop)
     oracle_total = oracle_min_payment_k_units(pop, model, outcome.winner_count)
     gap = outcome.total_payment - oracle_total
     return _instance_check("payment_optimality",

@@ -14,8 +14,9 @@ from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
                               generate_population)
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
-from privauction.verify import (check_budget_feasibility, estimate_accuracy,
-                               impossibility_bound, oracle_max_winners_envy_free)
+from privauction.verify import (check_budget_feasibility, check_necessity,
+                               estimate_accuracy, impossibility_bound,
+                               oracle_max_winners_envy_free, payment_lower_bound)
 
 
 # --- cost_eval -------------------------------------------------------------
@@ -142,6 +143,21 @@ ADMISSIBILITY_ENTRY_POINTS = {
 def test_every_entry_point_gives_the_one_admissibility_error(entry, bad):
     with pytest.raises(DomainError, match="must be finite and >= 0"):
         ADMISSIBILITY_ENTRY_POINTS[entry](bad)
+
+
+FRACTION_ENTRY_POINTS = {
+    "accuracy-instance": lambda bad: AccuracyInstance(POP3, CostFamily.LINEAR, bad),
+    "necessity": lambda bad: check_necessity([0.5, 0.5, 0.5], bad),
+    "payment-lower-bound": lambda bad: payment_lower_bound(POP3, CostFamily.LINEAR, bad),
+}
+
+
+@pytest.mark.parametrize("entry", FRACTION_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["0.5", True, math.nan, 0, 1, -0.1],
+                         ids=["str", "bool", "nan", "0", "1", "-0.1"])
+def test_every_alpha_is_one_checked_fraction(entry, bad):
+    with pytest.raises(DomainError, match="^alpha must"):
+        FRACTION_ENTRY_POINTS[entry](bad)
 
 
 # --- Population ------------------------------------------------------------

@@ -33,7 +33,7 @@ VERIFY_CONFIGS = {
                          "04995276259893c6757dc47068b9fdf3473ec54db7433520eee65a5ee9efb151"),
     "negative_control": ({"scenario": "budget", "budget": 30, "cost_family": "linear",
                           "negative_control": True},
-                         "bce656101b55ef1542622ea9af3e9529bde254b5a2f2df278c9ecb14b6f37fd3"),
+                         "babacac4a5a1ea6a716a240d6e3495402d92d5742a9a9c6d6b020225d89eb50f"),
 }
 
 
@@ -94,8 +94,8 @@ def _mixed_corpus():
 # truthfulness deltas on instance 7 (an `exp_arg` budget instance).  A host
 # without X86_V4 checks the digest its AVX2 paths give instead.
 X86_V3_DIGESTS = {
-    "c4958bc8e0b80307e9469abb329e84c5b0ffbf6a05ec75a245571b89561bacd0":
-        "73e66fe0c77c9ea25081761e1ceca2de875cb0c6c9a5db6417e734f0ebce88dd",
+    "b8e095c41972e981f507496d6eafc6e71d6aa7a23678463ee7132d756cc3ae97":
+        "69aa117484ee3b803caa3792272fbd2b6f32023ff49cbf00a14dbb726785e206",
 }
 
 
@@ -107,7 +107,7 @@ def _host_digest(digest):
 
 @pytest.mark.parametrize("negative_control, digest", [
     (False, "1c1ee0d99351fabe7683ba53a2b0095f553279e68761c1e191589f43cb091e5a"),
-    (True, "c4958bc8e0b80307e9469abb329e84c5b0ffbf6a05ec75a245571b89561bacd0"),
+    (True, "b8e095c41972e981f507496d6eafc6e71d6aa7a23678463ee7132d756cc3ae97"),
 ])
 def test_run_suite_reports_pinned(negative_control, digest):
     reports = run_suite(_mixed_corpus(), negative_control=negative_control)

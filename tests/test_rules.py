@@ -16,7 +16,7 @@ from privauction.core import (ALL_FAMILIES, Allocation, CostFamily, DomainError,
 from privauction.dp import ACCURACY_CONST
 from privauction.mechanisms import (AccuracyInstance, BudgetInstance, fair_query,
                                     min_cost_auction)
-from privauction.verify import pay_your_bid_control
+from privauction.verify import check_truthfulness, pay_your_bid_control
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -284,6 +284,18 @@ def test_rules_reject_reports_outside_the_domain(mechanism, inst, bad):
     values = np.array([[1.0, 2.0, 3.0], [1.0, bad, 3.0]])
     with pytest.raises(DomainError):
         mechanism.rule(inst, values)
+
+
+def test_auctions_reject_the_other_scenario_s_instance():
+    pop = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
+    budget = BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=3.0)
+    accuracy = AccuracyInstance(pop=pop, model=CostFamily.LINEAR, alpha=0.5 * ACCURACY_CONST)
+    for mechanism, inst in ((min_cost_auction, budget), (fair_query, accuracy),
+                            (pay_your_bid_control, accuracy)):
+        with pytest.raises(DomainError, match="the rule takes"):
+            mechanism(inst, RNG())
+        with pytest.raises(DomainError, match="the rule takes"):
+            check_truthfulness(mechanism, inst)
 
 
 def test_rules_reject_a_matrix_of_another_width():

@@ -122,8 +122,9 @@ def test_nan_costs_are_violations(monkeypatch, check):
     assert not check(out, inst.pop, inst.model).passed
 
 
-@pytest.mark.parametrize("check", [check_individual_rationality, check_envy_freeness])
-@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("check", [check_individual_rationality, check_envy_freeness,
+                                   check_payment_optimality])
+@pytest.mark.parametrize("n", [1, 8, 32])
 def test_population_of_another_size_rejected(check, n):
     inst = BudgetInstance(pop=Population(bits=np.ones(16, int), values=np.arange(1.0, 17.0)),
                           model=CostFamily.LINEAR, budget=20.0)
@@ -233,14 +234,13 @@ def brute_force_deviation_search(mechanism, inst, samples=200):
 
 def grid_for(values, i):
     """Oracle: agent i's misreport grid by its definition, the candidates
-    `_misreport_blocks` builds for a block of agents in one pass."""
-    delta = 1e-6 * max(float(values.max()), 1.0)
-    others = np.delete(values, i)
+    `_misreport_blocks` builds for a block of agents in one pass: zero,
+    every value and its one-ulp neighbours, and her own multiples."""
     cands = np.concatenate([
         [0.0],
-        others,
-        others + delta,
-        np.maximum(others - delta, 0.0),
+        values,
+        np.nextafter(values, 0.0),
+        np.nextafter(values, np.finfo(float).max),
         values[i] * np.array([0.5, 0.9, 1.1, 2.0]),
     ])
     return np.unique(cands)
@@ -503,7 +503,8 @@ def test_truthfulness_raises_when_rule_and_unilateral_disagree(mech):
 
 def test_grid_candidates_equal_per_agent_definition():
     # -0.0, subnormals and all-zero sets: the grid is built from values >= 0
-    # and a delta > 0, so it never holds a negative candidate to drop
+    # and their neighbours toward 0 and up, so it never holds a negative
+    # candidate to drop
     for inst in random_instances(20, seed=26, n_lo=1, kind="budget"):
         n = inst.pop.n
         for values in (inst.pop.values, np.floor(inst.pop.values), np.zeros(n),
@@ -560,6 +561,60 @@ def test_grid_candidates_cover_pivots():
     cands = cands[agents == 0]
     assert 0.0 in cands and 2.0 in cands and 4.0 in cands
     assert np.all(cands >= 0)
+
+
+@pytest.mark.parametrize("n, hi", [(16, 10.0), (2000, 10.0), (16, 1e-8), (200, 1e-3)])
+def test_grid_reaches_every_rank(n, hi):
+    # values closer than an absolute nudge, or all below it, leave ranks
+    # that only a one-ulp neighbour reaches
+    values = np.random.default_rng(n).uniform(0.0, hi, size=n)
+    ranking = mechanisms._ranking(values)
+    reached = np.zeros((n, n), dtype=bool)   # agent, rank among the others
+    for *_, agents, cands in _misreport_blocks(values, verify_mod._BLOCK_CELLS):
+        reached[agents, mechanisms._positions(*ranking, agents, cands)[1]] = True
+    assert reached.all()
+
+
+def strictly_between_rule(inst, reports):
+    """A stub allocation rule: nobody wins, and each agent whose report lies
+    strictly between the lowest and highest report of her row is paid 1."""
+    reports = mechanisms._reports(inst, BudgetInstance, reports)
+    ranked = np.sort(reports, axis=1)
+    paid = (ranked[:, :1] < reports) & (reports < ranked[:, -1:])
+    return Allocation(np.zeros(reports.shape, dtype=bool),
+                      np.zeros(reports.shape[0], dtype=int), paid.astype(float))
+
+
+def strictly_between_unilateral(inst, agents, reports):
+    """The stub's unilateral form, through its rule."""
+    rows = np.arange(agents.size)
+    matrix = np.tile(inst.pop.values, (rows.size, 1))
+    matrix[rows, agents] = reports
+    alloc = strictly_between_rule(inst, matrix)
+    pay = alloc.payments[rows, agents]
+    return alloc.k, pay, alloc.epsilons[rows, agents], pay
+
+
+def strictly_between(inst, rng):
+    return MechanismOutcome(0.0, strictly_between_rule(inst, inst.pop.values[None, :]))
+
+
+strictly_between.rule = strictly_between_rule
+strictly_between.unilateral = strictly_between_unilateral
+
+
+def test_truthfulness_finds_a_gain_between_values_one_nudge_apart():
+    # agent 1 is paid truthfully; agents 0 and 2 gain only by reporting
+    # strictly between the other two, 1e-7 apart, where none of their own
+    # multiples lies and a value nudged by 1e-6 lands outside
+    values = np.array([1.0, 1.0 + 1e-7, 1.0 + 2e-7])
+    inst = BudgetInstance(pop=Population(bits=[1, 1, 1], values=values),
+                          model=CostFamily.LINEAR, budget=0.0)
+    rep = check_truthfulness(strictly_between, inst)
+    assert {v["agent"] for v in rep.violations} == {0, 2}
+    for v in rep.violations:
+        others = np.delete(values, v["agent"])
+        assert others.min() < v["datum"] < others.max() and v["delta"] == 1.0
 
 
 # --- tolerance per cost family at extreme magnitudes -------------------------
