@@ -57,16 +57,25 @@ ALL_FAMILIES = tuple(CostFamily)
 
 
 def _check_nonneg_finite(name: str, x) -> np.ndarray:
-    """`x` as a float array; `DomainError` unless all of it is finite and >= 0.
+    """`x` as a float array; `DomainError` unless every entry is a number
+    (`_check_real`) and finite and >= 0.
 
-    NaN propagates through both reductions, so `min >= 0 and max < inf`
-    rejects exactly NaN, +-inf and negatives; an empty array passes.
+    Integers, floats and arrays of them are cast whole.  Anything else (a
+    bool, a string, an integer beyond int64, or an array of such) is cast
+    entry by entry, so that a bool, a string or an integer beyond a float
+    is refused, not read as a number.  NaN propagates through both
+    reductions, so `min >= 0 and max < inf` rejects exactly NaN, +-inf and
+    negatives; an empty array passes.
     """
     if type(x) is float:
         if not 0.0 <= x < math.inf:
             raise DomainError(f"{name} must be finite and >= 0")
         return np.asarray(x)
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        arr = np.array([_check_real(name, e) for e in arr.ravel().tolist()],
+                       dtype=float).reshape(arr.shape)
+    arr = arr.astype(float, copy=False)
     if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
                          and np.maximum.reduce(arr, axis=None) < math.inf):
         raise DomainError(f"{name} must be finite and >= 0")
@@ -166,9 +175,10 @@ class Population:
         bits = np.asarray(self.bits)
         if not ((bits == 0) | (bits == 1)).all():
             raise DomainError("bits must be 0/1")
-        # copies, so that freezing them leaves the caller's arrays writable
+        # copies, so that freezing them leaves the caller's arrays writable;
+        # the values checked before their cast, which would read "1" as 1.0
         bits = np.array(bits, dtype=np.int64)
-        values = _check_nonneg_finite("values", np.array(self.values, dtype=float))
+        values = np.array(_check_nonneg_finite("values", self.values))
         if bits.ndim != 1 or values.ndim != 1 or bits.shape != values.shape:
             raise DomainError("bits and values must be 1-d vectors of equal length")
         if bits.size < 1:

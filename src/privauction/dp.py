@@ -50,17 +50,11 @@ def _laplace(u: float, scale: float) -> float:
     return -scale * sign * float(np.log1p(-2.0 * abs(half)))
 
 
-def lap_sample(scale: float, rng: np.random.Generator, size=None):
-    """Draw from the zero-mean Laplace distribution with the given scale:
-    `_laplace` of one uniform draw per sample, elementwise when `size` is
-    given."""
+def lap_sample(scale: float, rng: np.random.Generator) -> float:
+    """One draw from the zero-mean Laplace distribution with the given
+    scale: `_laplace` of one uniform draw, taken after the scale is checked."""
     scale = _check_scale(scale)
-    if size is None:
-        return _laplace(rng.random(), scale)
-    # rng.random() can return exactly 0, where the transform diverges
-    u = rng.random(size)
-    half = np.where(u == 0.0, _SMALLEST_U, u) - 0.5
-    return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+    return _laplace(rng.random(), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_fraction,
-                   _check_nonneg_finite, _k_cheapest)
+                   _check_nonneg_finite, _check_real, _k_cheapest)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
@@ -32,7 +32,9 @@ class BudgetInstance:
     budget: float
 
     def __post_init__(self):
-        _check_nonneg_finite("budget", self.budget)
+        budget = _check_real("budget", self.budget)
+        _check_nonneg_finite("budget", budget)
+        object.__setattr__(self, "budget", budget)
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,38 @@ class AccuracyInstance:
         return math.ceil((1.0 - self.alpha_scaled) * self.pop.n)
 
 
-def _reports(inst, scenario: type, values) -> np.ndarray:
-    """The (m, n) matrix of reported values, each finite and >= 0, to a rule
-    that takes an instance of `scenario`."""
+def _check_scenario(inst, scenario: type) -> None:
+    """`DomainError` unless `inst` is an instance of `scenario`, the one
+    that a rule or a unilateral form takes."""
     if not isinstance(inst, scenario):
         raise DomainError(f"the rule takes {scenario.__name__} instances, "
                           f"got {type(inst).__name__}")
+
+
+def _reports(inst, scenario: type, values) -> np.ndarray:
+    """The (m, n) matrix of reported values, each finite and >= 0, to a rule
+    that takes an instance of `scenario`."""
+    _check_scenario(inst, scenario)
     values = _check_nonneg_finite("values", values)
     if values.ndim != 2 or values.shape[1] != inst.pop.n:
         raise DomainError("reports must form an (m, n) matrix, n the population size")
     return values
+
+
+def _deviations(inst, scenario: type, agents, reports):
+    """The deviating agents and their reports, each finite and >= 0, to a
+    unilateral form that takes an instance of `scenario`: `DomainError`
+    unless both are vectors of one length and every agent is an integer
+    index in [0, n), so that -1 is not read as agent n - 1 and one agent's
+    report is not broadcast to several."""
+    _check_scenario(inst, scenario)
+    reports = _check_nonneg_finite("values", reports)
+    agents = np.asarray(agents)
+    if (agents.dtype.kind not in "iu" or agents.ndim != 1 or agents.shape != reports.shape
+            or (agents.size and not (np.minimum.reduce(agents) >= 0
+                                     and np.maximum.reduce(agents) < inst.pop.n))):
+        raise DomainError("agents must be a vector of indices in [0, n), one per report")
+    return agents, reports
 
 
 def _kept(inst, key, build):
@@ -182,8 +206,8 @@ def _fair_query_unilateral(inst: BudgetInstance, agents, reports):
     All but her own cost, the ranking of the values included, is built once
     per instance (`_kept`).
     """
+    agents, reports = _deviations(inst, BudgetInstance, agents, reports)
     model, budget = inst.model, inst.budget
-    reports = _check_nonneg_finite("values", reports)
     n, last_k = inst.pop.n, inst.pop.n - 1
 
     def setup():
@@ -272,7 +296,7 @@ def _min_cost_unilateral(inst: AccuracyInstance, agents, reports):
     finite raises `DomainError`.  The truthful unit costs are
     ranked once per instance (`_kept`).
     """
-    reports = _check_nonneg_finite("values", reports)
+    agents, reports = _deviations(inst, AccuracyInstance, agents, reports)
     n, k = inst.pop.n, inst.winner_count
     eps = 1.0 / (n - k)
     w_sorted, s, composite = _kept(inst, _min_cost_unilateral, lambda: _ranking(

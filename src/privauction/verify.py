@@ -488,7 +488,9 @@ def run_suite(instances: Iterable[Instance],
     """Run every applicable property check over a corpus and aggregate
     violations per property.  Covers truthfulness, IR, envy-freeness, budget
     feasibility, the optimality oracles, the necessity condition, and the
-    payment lower bound; plus the analytic DP grid check per noise scale."""
+    payment lower bound; plus the analytic DP grid check per noise scale.
+    `DomainError` on an empty corpus, whose empty report list would read as
+    a pass."""
     agg: dict = {}
     noise_scales = set()
 
@@ -506,6 +508,8 @@ def run_suite(instances: Iterable[Instance],
         noise_scales.add(out.noise_scale)
         for report in _outcome_checks(mech, inst, out):
             extend(report, idx)
+    if not noise_scales:
+        raise DomainError("the corpus holds no instances")
     for scale in sorted(noise_scales):
         extend(check_estimator_privacy(scale), None)
     return list(agg.values())

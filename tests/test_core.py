@@ -145,6 +145,23 @@ def test_every_entry_point_gives_the_one_admissibility_error(entry, bad):
         ADMISSIBILITY_ENTRY_POINTS[entry](bad)
 
 
+SCALAR_ENTRY_POINTS = ["cost-eval-v", "cost-eval-eps", "budget", "estimate-accuracy-error-bound",
+                       "oracle-max-winners-budget", "budget-feasibility-budget"]
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["3", True, 10**400], ids=["str", "bool", "10**400"])
+def test_every_scalar_entry_point_refuses_what_is_not_a_number(entry, bad):
+    with pytest.raises(DomainError, match="must be a number that a float holds"):
+        ADMISSIBILITY_ENTRY_POINTS[entry](bad)
+
+
+def test_a_budget_instance_keeps_the_checked_float():
+    for budget in (5, np.float32(5.0), np.int64(5)):
+        inst = BudgetInstance(POP3, CostFamily.LINEAR, budget)
+        assert type(inst.budget) is float and inst.budget == 5.0
+
+
 FRACTION_ENTRY_POINTS = {
     "accuracy-instance": lambda bad: AccuracyInstance(POP3, CostFamily.LINEAR, bad),
     "necessity": lambda bad: check_necessity([0.5, 0.5, 0.5], bad),
@@ -177,6 +194,8 @@ def test_population_basic():
     ([np.nan, 1], [1.0, 1.0]),  # NaN bit, which a cast rejects with numpy's error
     ([1, 0], [-1.0, 1.0]),      # negative value
     ([1, 0], [np.inf, 1.0]),    # non-finite value
+    ([1, 0], ["1", "2"]),       # strings, which a cast reads as numbers
+    ([1, 0], [True, False]),    # bools, which a cast reads as 1.0 and 0.0
 ])
 def test_population_invariants(bits, values):
     with pytest.raises(DomainError):

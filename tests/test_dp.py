@@ -20,8 +20,9 @@ def lap_cdf(scale: float, x):
 
 @pytest.fixture(scope="module")
 def big_sample():
+    # the map every estimate draws through, one seeded uniform per draw
     rng = np.random.default_rng(2024)
-    return lap_sample(1.0, rng, size=1_000_000)
+    return np.array([_laplace(u, 1.0) for u in rng.random(1_000_000).tolist()])
 
 
 # --- sampling --------------------------------------------------------------
@@ -51,26 +52,25 @@ def test_ks_statistic(big_sample):
 
 
 def test_sample_deterministic():
-    a = lap_sample(2.0, np.random.default_rng(5), size=10)
-    b = lap_sample(2.0, np.random.default_rng(5), size=10)
-    np.testing.assert_array_equal(a, b)
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        return np.array([lap_sample(2.0, rng) for _ in range(10)])
+    np.testing.assert_array_equal(draws(5), draws(5))
 
 
 class ZeroUniforms:
     """A generator stub whose every uniform draw is exactly 0."""
 
-    def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def random(self):
+        return 0.0
 
 
 def test_zero_uniform_gives_a_finite_sample():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scalar = lap_sample(2.0, ZeroUniforms())
-        vector = lap_sample(2.0, ZeroUniforms(), size=3)
+        sample = lap_sample(2.0, ZeroUniforms())
     # u = 2**-53: x = -2 ln(1 - 2|u - 1/2|) = -2 ln(2**-52)
-    assert scalar == pytest.approx(-104.0 * math.log(2.0), rel=1e-12)
-    np.testing.assert_array_equal(vector, np.full(3, scalar))
+    assert sample == pytest.approx(-104.0 * math.log(2.0), rel=1e-12)
 
 
 class ReplayUniforms:
@@ -79,12 +79,9 @@ class ReplayUniforms:
     def __init__(self, uniforms):
         self.uniforms, self.pos = uniforms, 0
 
-    def random(self, size=None):
-        start = self.pos
-        self.pos += 1 if size is None else size
-        if size is None:
-            return float(self.uniforms[start])
-        return self.uniforms[start:self.pos].copy()
+    def random(self):
+        self.pos += 1
+        return float(self.uniforms[self.pos - 1])
 
 
 ULP = 2.0 ** -53
@@ -98,16 +95,13 @@ PINNED_UNIFORMS = np.concatenate([
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, 5.0, 95.0, 1e4, 1e6])
-def test_scalar_and_vector_samples_agree_bit_for_bit(scale):
-    # every uniform a Generator returns is j * 2**-53; one draw per call, one
-    # batched call and the map `_laplace` itself give the same bits, the sign
-    # of a zero included
+def test_sample_is_the_map_bit_for_bit_and_the_map_is_monotone(scale):
+    # every uniform a Generator returns is j * 2**-53; `lap_sample` and the
+    # map `_laplace` itself give the same bits, the sign of a zero included
     rng = ReplayUniforms(PINNED_UNIFORMS)
-    scalar = np.array([lap_sample(scale, rng) for _ in range(PINNED_UNIFORMS.size)])
-    vector = lap_sample(scale, ReplayUniforms(PINNED_UNIFORMS), size=PINNED_UNIFORMS.size)
+    sampled = np.array([lap_sample(scale, rng) for _ in range(PINNED_UNIFORMS.size)])
     mapped = np.array([_laplace(u, scale) for u in PINNED_UNIFORMS.tolist()])
-    for got in (scalar, vector):
-        np.testing.assert_array_equal(got.view(np.uint64), mapped.view(np.uint64))
+    np.testing.assert_array_equal(sampled.view(np.uint64), mapped.view(np.uint64))
     # the map never decreases as u grows: near j = 0, where the sign flips
     # near j = 2**52, and near j = 2**53
     assert (np.diff(mapped[np.argsort(PINNED_UNIFORMS, kind="stable")]) >= 0).all()

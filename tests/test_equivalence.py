@@ -38,10 +38,17 @@ INPUTS = st.one_of(
 )
 
 
+def is_number(x) -> bool:
+    """Numbers that are not bools, as numpy types them: an integer or a
+    float, or an array of either.  A bool alone, or an array of bools, is
+    not one; numpy casts a bool among integers or floats."""
+    return np.asarray(x).dtype.kind in "iuf"
+
+
 def accepts(x) -> bool:
     """The input rule by its definition."""
     a = np.asarray(x, dtype=float)
-    return bool(np.isfinite(a).all() and (a >= 0).all())
+    return is_number(x) and bool(np.isfinite(a).all() and (a >= 0).all())
 
 
 @settings(max_examples=500, deadline=None)
@@ -53,7 +60,8 @@ def test_input_rule_accepts_exactly_the_finite_nonnegative(x):
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()    # -0.0 and subnormals kept
     else:
-        with pytest.raises(DomainError, match=r"^v must be finite and >= 0$"):
+        with pytest.raises(DomainError, match=r"^v must be finite and >= 0$" if is_number(x)
+                           else r"^v must be a number that a float holds, got"):
             _check_nonneg_finite("v", x)
 
 

@@ -296,6 +296,36 @@ def test_auctions_reject_the_other_scenario_s_instance():
             mechanism(inst, RNG())
         with pytest.raises(DomainError, match="the rule takes"):
             check_truthfulness(mechanism, inst)
+        with pytest.raises(DomainError, match="the rule takes"):
+            mechanism.unilateral(inst, np.array([0]), np.array([1.0]))
+
+
+# (agents, reports) that no unilateral form takes over n = 3 agents
+BAD_DEVIATIONS = {
+    "agent -1": ([-1], [1.0]),
+    "agent n": ([3], [1.0]),
+    "three agents, one report": ([0, 1, 2], [1.0]),
+    "one agent, two reports": ([0], [1.0, 2.0]),
+    "float agent": ([0.0], [1.0]),
+    "bool agent": ([True], [1.0]),
+    "string agent": (["0"], [1.0]),
+    "scalar agent": (0, [1.0]),
+    "matrix": ([[0]], [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("deviation", BAD_DEVIATIONS)
+@pytest.mark.parametrize("mechanism", [fair_query, min_cost_auction, pay_your_bid_control],
+                         ids=lambda m: m.__name__)
+def test_unilateral_forms_reject_agents_that_are_not_indices_one_per_report(mechanism,
+                                                                            deviation):
+    pop = Population(bits=[1, 0, 1], values=[1.0, 2.0, 3.0])
+    inst = (AccuracyInstance(pop=pop, model=CostFamily.LINEAR, alpha=0.5 * ACCURACY_CONST)
+            if mechanism is min_cost_auction
+            else BudgetInstance(pop=pop, model=CostFamily.LINEAR, budget=3.0))
+    agents, reports = BAD_DEVIATIONS[deviation]
+    with pytest.raises(DomainError, match="^agents must be"):
+        mechanism.unilateral(inst, np.asarray(agents), np.asarray(reports))
 
 
 def test_rules_reject_a_matrix_of_another_width():

@@ -915,6 +915,14 @@ def test_suite_passes_on_clean_corpus():
         assert rep.passed, (rep.property_name, rep.violations[:3])
 
 
+def test_suite_refuses_an_empty_corpus():
+    # an empty report list would read as a pass to all(r.passed ...)
+    with pytest.raises(DomainError, match="no instances"):
+        run_suite([])
+    with pytest.raises(DomainError, match="no instances"):
+        run_suite(iter(()), negative_control=True)
+
+
 def test_suite_flags_negative_control():
     instances = random_instances(6, seed=12, n_hi=8, kind="budget")
     reports = run_suite(instances, negative_control=True)
