@@ -56,26 +56,28 @@ class CostFamily(enum.Enum):
 ALL_FAMILIES = tuple(CostFamily)
 
 
-def _check_nonneg_finite(name: str, x) -> np.ndarray:
+def _check_reals(name: str, x) -> np.ndarray:
     """`x` as a float array; `DomainError` unless every entry is a number
-    (`_check_real`) and finite and >= 0.
+    (`_check_real`).  Only an integer or float ndarray is cast whole; all
+    else is read entry by entry over `np.array(x, dtype=object)`, so a bool
+    among floats, or a ragged list's inner list, is refused, not cast."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        return x.astype(float, copy=False)
+    arr = np.array(x, dtype=object)
+    return np.array([_check_real(name, e) for e in arr.ravel().tolist()],
+                    dtype=float).reshape(arr.shape)
 
-    Integers, floats and arrays of them are cast whole.  Anything else (a
-    bool, a string, an integer beyond int64, or an array of such) is cast
-    entry by entry, so that a bool, a string or an integer beyond a float
-    is refused, not read as a number.  NaN propagates through both
-    reductions, so `min >= 0 and max < inf` rejects exactly NaN, +-inf and
-    negatives; an empty array passes.
-    """
+
+def _check_nonneg_finite(name: str, x) -> np.ndarray:
+    """`x` as a float array (`_check_reals`); `DomainError` unless every
+    entry is finite and >= 0.  NaN propagates through both reductions, so
+    `min >= 0 and max < inf` rejects exactly NaN, +-inf and negatives; an
+    empty array passes."""
     if type(x) is float:
         if not 0.0 <= x < math.inf:
             raise DomainError(f"{name} must be finite and >= 0")
         return np.asarray(x)
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        arr = np.array([_check_real(name, e) for e in arr.ravel().tolist()],
-                       dtype=float).reshape(arr.shape)
-    arr = arr.astype(float, copy=False)
+    arr = _check_reals(name, x)
     if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
                          and np.maximum.reduce(arr, axis=None) < math.inf):
         raise DomainError(f"{name} must be finite and >= 0")

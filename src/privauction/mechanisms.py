@@ -46,7 +46,7 @@ class AccuracyInstance:
     alpha: float
 
     def __post_init__(self):
-        _check_fraction("alpha", self.alpha)
+        object.__setattr__(self, "alpha", _check_fraction("alpha", self.alpha))
         if self.alpha_scaled < 1.0 / self.pop.n:
             raise DomainError(
                 "accuracy target unattainable: alpha/(1/2 + ln 3) must be >= 1/n")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_fraction,
-                   _check_integer, _check_nonneg_finite, _tolerance)
+                   _check_integer, _check_nonneg_finite, _check_reals, _tolerance)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import (ACCURACY_CONST, EstimatorPlan, _check_scale, trial_estimates,
                  trial_stream)
@@ -63,41 +63,40 @@ _MULTIPLIERS = (0.5, 0.9, 1.1, 2.0)
 
 
 def _misreport_blocks(values: np.ndarray, cells: int):
-    """Every agent's candidate misreports, ascending and without repeats,
-    block by block: yields (lo, hi, agents, candidates) for agents lo to
-    hi - 1, their grids concatenated agent-major.  A block holds at most
-    `cells` candidates unless one agent's grid alone is larger, so memory is
-    O(cells + n), not O(n^2).
+    """Every agent's candidate misreports, without repeats, block by block:
+    yields (lo, hi, agents, candidates) for agents lo to hi - 1, the pivots
+    once for each agent in turn, then each one's own multiples that are not
+    pivots.  A block holds at most `cells` candidates unless one agent's
+    grid alone is larger, so memory is O(cells + n), not O(n^2).
 
-    Every agent's grid is the same pivots (zero, every value and each
-    value's two one-ulp neighbours, toward zero and toward the largest
-    float) plus her own value times each of `_MULTIPLIERS`.  So it reaches
-    every rank among the others (ties by index) that a report can take, at
-    both ends of that rank's interval of reports, since an interval ends at
-    zero, at a value (tied) or one ulp beside it; only the top interval's
-    upper end, the largest float, is left out, and there she ranks last.
-    `min_cost_auction`'s outcome depends on the report only through that
-    rank.  `fair_query`'s also depends on whether the agent's own cost fits
-    under the budget at her rank, which moves with the report but
-    monotonically within an interval, so the interval's ends decide it.
+    Every agent's grid is the same ascending pivots (zero as +0.0, every
+    value and each value's two one-ulp neighbours, toward zero and toward
+    the largest float) and those of her own value times each of
+    `_MULTIPLIERS` that are neither pivots nor the multiple before.  So it
+    reaches every rank among the others (ties by index) that a report can
+    take, at both ends of that rank's interval of reports, since an interval
+    ends at zero, at a value (tied) or one ulp beside it; only the top
+    interval's upper end, the largest float, is left out, and there she
+    ranks last.  `min_cost_auction`'s outcome depends on the report only
+    through that rank.  `fair_query`'s also depends on whether the agent's
+    own cost fits under the budget at her rank, which moves with the report
+    but monotonically within an interval, so the interval's ends decide it.
     Every candidate is >= 0.
     """
-    pivots = np.concatenate([[0.0], values, np.nextafter(values, 0.0),
-                             np.nextafter(values, np.finfo(float).max)])
+    pivots = np.sort(np.concatenate([[0.0], values, np.nextafter(values, 0.0),
+                                     np.nextafter(values, np.finfo(float).max)])) + 0.0
+    pivots = pivots[np.concatenate([[True], pivots[1:] != pivots[:-1]])]
     multiples = values[:, None] * np.asarray(_MULTIPLIERS)
-    columns = np.unique(np.concatenate([pivots, multiples.ravel()]))
-    shared = np.zeros(columns.size, dtype=bool)
-    shared[np.searchsorted(columns, pivots)] = True
-    multiples_at = np.searchsorted(columns, multiples)
-    # an agent's grid is at most the shared pivots and her multiples
-    per_block = max(1, cells // (np.count_nonzero(shared) + len(_MULTIPLIERS)))
+    new = pivots.take(np.searchsorted(pivots, multiples), mode="clip") != multiples
+    new[:, 1:] &= multiples[:, 1:] != multiples[:, :-1]
+    per_block = max(1, cells // (pivots.size + len(_MULTIPLIERS)))
     for lo in range(0, values.size, per_block):
         hi = min(lo + per_block, values.size)
-        keep = np.repeat(shared[None, :], hi - lo, axis=0)
-        keep[np.arange(hi - lo)[:, None], multiples_at[lo:hi]] = True
-        agents, at = np.nonzero(keep)
-        agents += lo
-        yield lo, hi, agents, columns[at]
+        owner, _ = np.nonzero(new[lo:hi])
+        agents = np.concatenate([np.repeat(np.arange(lo, hi), pivots.size), lo + owner])
+        candidates = np.concatenate([np.repeat(pivots[None, :], hi - lo, axis=0).ravel(),
+                                     multiples[lo:hi][new[lo:hi]]])
+        yield lo, hi, agents, candidates
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +167,9 @@ def check_budget_feasibility(outcome: MechanismOutcome,
                            float(over), tolerance=0.0)
 
 
-#: Most grid candidates one unilateral sweep call takes, besides one
-#: own-value row per agent, and most report cells (rows x n) one
-#: allocation-rule call takes, unless one agent's grid or one row is larger.
+#: Most grid candidates one unilateral sweep call takes, and most report
+#: cells (rows x n) one allocation-rule call takes, unless one agent's grid
+#: or one row is larger.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -182,17 +181,17 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
     truthful reports, on `trial_stream(0, 0)`, whose estimate nothing reads;
     it stays because the checker is handed a mechanism, not its outcome, and
     the unilateral form must reproduce that run.  The grid is built block by
-    block of agents (`_misreport_blocks`), each block led by its agents' own
-    values, and each block goes through the mechanism's unilateral form,
-    `mechanism.unilateral`, a pivot sweep over the deviating agent's rank that
-    costs O(log n) a candidate after a set-up it builds once per instance
-    (Archer & Tardos, FOCS'01), so memory stays O(`_BLOCK_CELLS` + n).  Its
-    payments are upper bounds: `fair_query`'s budget nudge, which only lowers
-    a price, is left out.  Only the candidates whose bound beats the truthful
-    utility by more than `_tolerance` of the larger of her two payments go
-    through the allocation rule, `mechanism.rule`, as rows of report matrices
-    of at most `_BLOCK_CELLS` cells, and their exact utilities decide.
-    Violations are listed by agent, then by ascending candidate.
+    block of agents (`_misreport_blocks`), and each block goes as it is
+    through the mechanism's unilateral form, `mechanism.unilateral`, a pivot
+    sweep over the deviating agent's rank that costs O(log n) a candidate
+    after a set-up it builds once per instance (Archer & Tardos, FOCS'01), so
+    memory stays O(`_BLOCK_CELLS` + n).  Its payments are upper bounds:
+    `fair_query`'s budget nudge, which only lowers a price, is left out.
+    Only the candidates whose bound beats the truthful utility by more than
+    `_tolerance` of the larger of her two payments go through the allocation
+    rule, `mechanism.rule`, as rows of report matrices of at most
+    `_BLOCK_CELLS` cells, and their exact utilities decide.  Violations are
+    listed by agent, then by ascending candidate.
 
     Fails closed with `DomainError`: on a non-finite report or price in any
     row, as the rule's `Allocation` does; when the sweep at each agent's own
@@ -200,29 +199,27 @@ def check_truthfulness(mechanism: Mechanism, instance: Instance) -> Verification
     pays less than the truthful run; and when the rule pays a candidate more
     than the sweep's bound, since the bound then decides nothing.
     """
-    pop, model = instance.pop, instance.model
-    values = pop.values
+    values, model = instance.pop.values, instance.model
     truthful = mechanism(instance, trial_stream(0, 0))
     true_k, true_pay, true_eps = (truthful.winner_count, truthful.payments,
                                   truthful.epsilons)
     true_util = true_pay - cost_eval(model, values, true_eps)
     violations = []
     for lo, hi, agents, candidates in _misreport_blocks(values, _BLOCK_CELLS):
-        # the block's own values lead: there the sweep must reproduce the run
-        a = np.concatenate([np.arange(lo, hi), agents])
-        c = np.concatenate([values[lo:hi], candidates])
-        k, pay, eps, price = mechanism.unilateral(instance, a, c)
+        k, pay, eps, price = mechanism.unilateral(instance, agents, candidates)
         if not np.isfinite(price).all():
             raise DomainError(_OVERFLOW)
-        m = hi - lo
-        if not ((k[:m] == true_k).all() and (eps[:m] == true_eps[lo:hi]).all()
-                and (pay[:m] >= true_pay[lo:hi]).all()):
+        # each agent's own value, a pivot: there the sweep must reproduce the run
+        own = np.flatnonzero(candidates == values[agents])
+        if not ((k[own] == true_k).all() and (eps[own] == true_eps[lo:hi]).all()
+                and (pay[own] >= true_pay[lo:hi]).all()):
             raise DomainError("the unilateral form does not reproduce the truthful run")
-        bound = pay - cost_eval(model, values[a], eps)
-        tol = _tolerance(np.maximum(pay[m:], true_pay[agents]))
-        rows = m + np.flatnonzero(~(bound[m:] <= true_util[agents] + tol))
+        bound = pay - cost_eval(model, values[agents], eps)
+        tol = _tolerance(np.maximum(pay, true_pay[agents]))
+        rows = np.flatnonzero(~(bound <= true_util[agents] + tol))
+        rows = rows[np.lexsort((candidates[rows], agents[rows]))]
         violations += _rule_violations(mechanism, instance, true_pay, true_util,
-                                       a[rows], c[rows], bound[rows])
+                                       agents[rows], candidates[rows], bound[rows])
     return VerificationReport("truthfulness", violations)
 
 
@@ -260,8 +257,8 @@ def _rule_violations(mechanism: Mechanism, instance: Instance, true_pay, true_ut
 def check_necessity(epsilons, alpha: float) -> bool:
     """Necessary condition for alpha*n/4-accuracy: at least (1-alpha)n agents
     carry a privacy level of at least 1/(alpha*n), each up to `_tolerance`;
-    a NaN level does not count."""
-    epsilons = np.asarray(epsilons, dtype=float)
+    a NaN level does not count, and a non-number raises `DomainError`."""
+    epsilons = _check_reals("epsilons", epsilons)
     alpha = _check_fraction("alpha", alpha)
     n = epsilons.size
     if n < 1:

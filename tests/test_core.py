@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,10 +157,36 @@ def test_every_scalar_entry_point_refuses_what_is_not_a_number(entry, bad):
         ADMISSIBILITY_ENTRY_POINTS[entry](bad)
 
 
-def test_a_budget_instance_keeps_the_checked_float():
-    for budget in (5, np.float32(5.0), np.int64(5)):
+def test_each_instance_keeps_the_checked_float():
+    for budget in (5, np.float32(5.0), np.int64(5), Fraction(5)):
         inst = BudgetInstance(POP3, CostFamily.LINEAR, budget)
         assert type(inst.budget) is float and inst.budget == 5.0
+    for alpha in (Fraction(3, 5), np.float32(0.6), np.float64(0.6)):
+        inst = AccuracyInstance(POP3, CostFamily.LINEAR, alpha)
+        assert type(inst.alpha) is float and inst.alpha == float(alpha)
+
+
+def test_a_budget_is_one_number():
+    for budget in (np.array([5.0]), np.array([5.0, 6.0])):
+        with pytest.raises(DomainError, match="must be a number that a float holds"):
+            BudgetInstance(POP3, CostFamily.LINEAR, budget)
+
+
+# numpy casts a bool among floats to 1.0, and a ragged list fails its cast with
+# numpy's own error; the rule reads a list entry by entry instead
+LIST_ENTRY_POINTS = {
+    "cost-eval-bool-among-floats": lambda: cost_eval(CostFamily.LINEAR, [1.0, True], 0.5),
+    "population-bool-among-floats": lambda: Population(bits=[1, 0], values=[1.0, True]),
+    "cost-eval-ragged": lambda: cost_eval(CostFamily.LINEAR, [[1.0, 2.0], [3.0]], 0.5),
+    "necessity-strings": lambda: check_necessity(["1", "1"], 0.5),
+    "necessity-bools": lambda: check_necessity([True, True], 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", LIST_ENTRY_POINTS)
+def test_every_list_entry_must_be_a_number(entry):
+    with pytest.raises(DomainError, match="must be a number that a float holds"):
+        LIST_ENTRY_POINTS[entry]()
 
 
 FRACTION_ENTRY_POINTS = {

@@ -38,11 +38,18 @@ INPUTS = st.one_of(
 )
 
 
+def entries(x):
+    """The scalars of a nested list, or `x` itself."""
+    return [e for item in x for e in entries(item)] if isinstance(x, list) else [x]
+
+
 def is_number(x) -> bool:
-    """Numbers that are not bools, as numpy types them: an integer or a
-    float, or an array of either.  A bool alone, or an array of bools, is
-    not one; numpy casts a bool among integers or floats."""
-    return np.asarray(x).dtype.kind in "iuf"
+    """Numbers that are not bools: an array of integers or floats, or an
+    integer or a float, alone or as every entry of a nested list.  A bool is
+    not one, alone or among numbers that numpy would cast it with."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iuf"
+    return all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in entries(x))
 
 
 def accepts(x) -> bool:

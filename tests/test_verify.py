@@ -417,7 +417,7 @@ def test_truthfulness_at_n_16_makes_one_unilateral_call(mechanism):
     inst = random_instances(1, seed=27, n_lo=16, n_hi=16, kind=kind)[0]
     assert check_truthfulness(mech, inst).to_dict() == check_truthfulness(
         mechanism, inst).to_dict()
-    assert len(calls) == 1 and calls[0] > 16   # the own values, then the grid
+    assert len(calls) == 1 and calls[0] > 16   # every agent's grid, in one call
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -515,10 +515,20 @@ def test_grid_candidates_equal_per_agent_definition():
             # one block, one agent per block, and blocks of a few agents
             for cells in (1 << 16, 1, 3 * values.size):
                 agents, cands = all_candidates(values, cells)
-                assert np.array_equal(agents, np.repeat(np.arange(values.size),
-                                                        [g.size for g in grids]))
-                assert np.array_equal(cands, np.concatenate(grids))
+                for i, grid in enumerate(grids):   # listed in any order
+                    assert np.array_equal(np.sort(cands[agents == i]), grid)
                 assert (cands >= 0).all()
+
+
+def test_the_zero_candidate_is_positive_zero():
+    # -0.0 == 0.0, so a grid built by sorting keeps whichever zero its sort
+    # puts first; a violation's datum must not depend on that order
+    for inst in random_instances(20, seed=26, n_lo=1, kind="budget"):
+        n = inst.pop.n
+        for values in (np.full(n, -0.0), np.where(np.arange(n) % 2, -0.0, 0.0),
+                       np.where(inst.pop.values < 5.0, -0.0, inst.pop.values)):
+            _, cands = all_candidates(values, 1 << 16)
+            assert not np.signbit(cands).any()
 
 
 def all_candidates(values, cells):
