@@ -63,7 +63,11 @@ def _check_reals(name: str, x) -> np.ndarray:
     among floats, or a ragged list's inner list, is refused, not cast."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
         return x.astype(float, copy=False)
-    arr = np.array(x, dtype=object)
+    try:
+        arr = np.array(x, dtype=object)
+    except ValueError as exc:   # arrays of unequal shapes, which no object array holds
+        raise DomainError(f"{name} must be a number that a float holds, "
+                          f"got {reprlib.repr(x)}") from exc
     return np.array([_check_real(name, e) for e in arr.ravel().tolist()],
                     dtype=float).reshape(arr.shape)
 
@@ -103,6 +107,15 @@ def _check_real(name: str, x) -> float:
         except OverflowError:   # an integer beyond 1.8e308
             pass
     raise DomainError(f"{name} must be a number that a float holds, got {reprlib.repr(x)}")
+
+
+def _check_nonneg_real(name: str, x) -> float:
+    """`x` as a float; `DomainError` unless it is one number (`_check_real`,
+    so not an array) that is finite and >= 0."""
+    x = _check_real(name, x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0")
+    return x
 
 
 def _check_fraction(name: str, x) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (_OVERFLOW, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_fraction,
-                   _check_nonneg_finite, _check_real, _k_cheapest)
+                   _check_nonneg_finite, _check_nonneg_real, _k_cheapest)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import ACCURACY_CONST, EstimatorPlan, laplace_estimator
 from .dp import lap_sample  # noqa: F401 -- the benchmark tracer (bench/tracer.py) patches it here
@@ -32,9 +32,7 @@ class BudgetInstance:
     budget: float
 
     def __post_init__(self):
-        budget = _check_real("budget", self.budget)
-        _check_nonneg_finite("budget", budget)
-        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "budget", _check_nonneg_real("budget", self.budget))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (_OVERFLOW, TOL, Allocation, CostFamily, DomainError,
                    MechanismOutcome, Population, _check_fraction,
-                   _check_integer, _check_nonneg_finite, _check_reals, _tolerance)
+                   _check_integer, _check_nonneg_finite, _check_nonneg_real, _check_reals,
+                   _tolerance)
 from .core import _cost as cost_eval  # each operand is checked where it enters
 from .dp import (ACCURACY_CONST, EstimatorPlan, _check_scale, trial_estimates,
                  trial_stream)
@@ -162,7 +163,7 @@ def check_budget_feasibility(outcome: MechanismOutcome,
                              budget: float) -> VerificationReport:
     """Total payment never exceeds the analyst's budget (exactly, no tolerance);
     `DomainError` unless the budget is finite and >= 0."""
-    over = outcome.total_payment - float(_check_nonneg_finite("budget", budget))
+    over = outcome.total_payment - _check_nonneg_real("budget", budget)
     return _instance_check("budget_feasibility", over > 0, outcome.total_payment,
                            float(over), tolerance=0.0)
 
@@ -313,7 +314,7 @@ def oracle_max_winners_envy_free(pop: Population, model: CostFamily,
     """Largest winner count any truthful IR envy-free fixed-price mechanism
     can afford: brute force over k, where the cheapest IR-compatible fixed
     price for the k cheapest sellers is the k-th cheapest seller's cost."""
-    budget = _check_nonneg_finite("budget", budget)
+    budget = _check_nonneg_real("budget", budget)
     n = pop.n
     v_sorted = np.sort(pop.values, kind="stable")
     ks = np.arange(1, n)
@@ -351,7 +352,7 @@ def estimate_accuracy(mechanism: Mechanism, instance: Instance, error_bound: flo
     repositions one Generator per trial), which is what running the mechanism
     with that stream returns.
     """
-    error_bound = _check_nonneg_finite("error_bound", error_bound)
+    error_bound = _check_nonneg_real("error_bound", error_bound)
     if _check_integer("trials", trials) < 1:
         raise DomainError("trials must be >= 1")
     pop = instance.pop
@@ -365,10 +366,11 @@ def check_estimator_privacy(noise_scale: float) -> VerificationReport:
     that ships: under a one-bit winner flip, a shift of 1, the log density
     ratio (|x - 1| - |x|)/scale stays within 1/noise_scale either way, up to
     TOL on the ratio, on 10,000 points spanning +-20 scales; a NaN ratio is a
-    violation.  `DomainError` unless the grid's width, 40 scales, is finite."""
+    violation.  `DomainError` unless every grid point resolves the shift:
+    from 20 scales = 2**53 on, x - 1 rounds to x at the grid's lower end."""
     scale = _check_scale(noise_scale)
-    if not math.isfinite(40.0 * scale):   # else the grid is NaN
-        raise DomainError(f"the privacy grid spans 40 Laplace scales, beyond a float at {scale!r}")
+    if not 20.0 * scale < 2.0 ** 53:   # which also keeps 40 scales finite
+        raise DomainError(f"the privacy grid cannot resolve a shift of 1 at scale {scale!r}")
     bound = math.exp(1.0 / scale)
     xs = np.linspace(-20.0 * scale, 20.0 * scale, 10_000)
     worst = math.exp(float(np.max(np.abs(np.abs(xs - 1.0) - np.abs(xs)))) / scale)

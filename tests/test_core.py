@@ -172,12 +172,23 @@ def test_a_budget_is_one_number():
             BudgetInstance(POP3, CostFamily.LINEAR, budget)
 
 
+@pytest.mark.parametrize("entry", ["estimate-accuracy-error-bound", "oracle-max-winners-budget",
+                                   "budget-feasibility-budget"])
+def test_every_one_number_entry_point_refuses_an_array(entry):
+    # numpy would pair two budgets with two candidate k, or broadcast them
+    with pytest.raises(DomainError, match="must be a number that a float holds"):
+        ADMISSIBILITY_ENTRY_POINTS[entry](np.array([1.0, 20.0]))
+
+
 # numpy casts a bool among floats to 1.0, and a ragged list fails its cast with
-# numpy's own error; the rule reads a list entry by entry instead
+# numpy's own error, as a list of arrays of unequal 2-d shapes fails to make
+# an object array; the rule reads a list entry by entry instead
 LIST_ENTRY_POINTS = {
     "cost-eval-bool-among-floats": lambda: cost_eval(CostFamily.LINEAR, [1.0, True], 0.5),
     "population-bool-among-floats": lambda: Population(bits=[1, 0], values=[1.0, True]),
     "cost-eval-ragged": lambda: cost_eval(CostFamily.LINEAR, [[1.0, 2.0], [3.0]], 0.5),
+    "cost-eval-unequal-2d-arrays": lambda: cost_eval(
+        CostFamily.LINEAR, [np.zeros((2, 2)), np.zeros((2, 3))], 0.5),
     "necessity-strings": lambda: check_necessity(["1", "1"], 0.5),
     "necessity-bools": lambda: check_necessity([True, True], 0.5),
 }

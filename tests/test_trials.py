@@ -1,12 +1,16 @@
-"""`run`'s aggregates and `estimate_accuracy`'s miss count (which allocates
-once and draws only the estimate per trial) reproduce, bit for bit, a full
-mechanism run per trial with `trial_stream(seed, t)`."""
+"""`run`'s and `sweep`'s aggregates and `estimate_accuracy`'s miss count
+(which allocates once and draws only the estimate per trial) reproduce, bit
+for bit, a full mechanism run per trial with `trial_stream(seed, t)`; a
+record's statistics are numpy's mean and std of its errors, bit for bit."""
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privauction import cli, dp
 from privauction.cli import main
@@ -42,31 +46,105 @@ def _reference_estimates(mech, inst):
                      for t in range(TRIALS)])
 
 
-def _run_record(tmp_path, fields) -> dict:
+def _report(tmp_path, command, fields, *options) -> dict:
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text(json.dumps({"population": POPULATION, "cost_family": "linear",
                                "trials": TRIALS, "seed": SEED, **fields}))
-    assert main(["run", str(cfg), "--output", str(out)]) == 0
-    return json.loads(out.read_text())["records"][0]
+    assert main([command, str(cfg), "--output", str(out), *options]) == 0
+    return json.loads(out.read_text())
 
 
-def _assert_aggregates(record, ref, inst):
+def _run_record(tmp_path, fields, *options) -> dict:
+    return _report(tmp_path, "run", fields, *options)["records"][0]
+
+
+def _assert_aggregates(record, ref, inst, clamp=False):
+    """The record's statistics are numpy's mean and std of the (clamped)
+    errors, and its miss rate is numpy's mean of the unclamped miss mask."""
     s = inst.pop.total
-    errors = ref - s
+    errors = (np.clip(ref, 0.0, inst.pop.n) if clamp else ref) - s
     assert record["error_rate_at_bound"] == float(
         np.mean(np.abs(ref - s) >= record["accuracy_bound"]))
     assert record["estimate_error_mean"] == float(errors.mean())
     assert record["estimate_error_std"] == float(errors.std())
 
 
+@pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_matches_full_mechanism_per_trial(tmp_path, name):
+def test_run_matches_full_mechanism_per_trial(tmp_path, name, clamp):
     fields, mech, want_k = CASES[name]
     inst = _instance(fields)
-    record = _run_record(tmp_path, fields)
+    ref = _reference_estimates(mech, inst)
+    # every case draws estimates outside [0, n], so clamping moves the statistics
+    assert np.count_nonzero((ref < 0.0) | (ref > inst.pop.n))
+    record = _run_record(tmp_path, fields, *(["--clamp"] if clamp else []))
     if want_k is not None:
         assert record["k"] == want_k
-    _assert_aggregates(record, _reference_estimates(mech, inst), inst)
+    _assert_aggregates(record, ref, inst, clamp)
+
+
+def test_sweep_matches_full_mechanism_at_every_point(tmp_path):
+    budgets = [0.0, 1.0, 6.0, 9.0]
+    records = _report(tmp_path, "sweep", {"scenario": "budget", "budget": 6.0,
+                                          "sweep": {"parameter": "budget",
+                                                    "values": budgets}})["records"]
+    assert [r["swept_value"] for r in records] == budgets
+    for record, budget in zip(records, budgets):
+        assert record["error"] == ""
+        inst = _instance({"scenario": "budget", "budget": budget})
+        _assert_aggregates(record, _reference_estimates(fair_query, inst), inst)
+
+
+def _summary(estimates, s, bound) -> dict:
+    """`cli._run_record`'s statistics over `estimates`, each trial's
+    mechanism returning the next one, for a population total `s` and an
+    accuracy bound `bound` (the accuracy scenario's alpha times n = 1)."""
+    trials = len(estimates)
+    config = cli.ExperimentConfig.from_dict({
+        "scenario": "accuracy", "alpha": bound, "population": POPULATION,
+        "cost_family": "linear", "trials": trials})
+    inst = SimpleNamespace(pop=SimpleNamespace(n=1, total=s))
+    drawn = iter(estimates.tolist())
+
+    def mech(inst, rng):
+        return SimpleNamespace(estimate=next(drawn, 0.0), winner_count=0, total_payment=0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_mechanism", lambda config: mech)
+        mp.setattr(cli, "_trial_streams", lambda seed, trials: itertools.repeat(None, trials))
+        return cli._run_record(config, inst)
+
+
+def _assert_numpy_statistics(length, seed, top, spread):
+    """Estimates of magnitude 10**(top - spread) to 10**top, either sign,
+    around a total of magnitude 10**top."""
+    rng = np.random.default_rng(seed)
+    s = float(rng.standard_normal() * 10.0 ** top)
+    estimates = s + rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(top - spread, top,
+                                                                           length)
+    errors = estimates - s
+    bound = float(np.median(np.abs(errors)))
+    record = _summary(estimates, s, bound)
+    for key, want in [("error_rate_at_bound", np.mean(np.abs(errors) >= bound)),
+                      ("estimate_error_mean", errors.mean()),
+                      ("estimate_error_std", errors.std())]:
+        assert type(record[key]) is float
+        assert record[key] == float(want), key
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.one_of(st.integers(1, 300), st.integers(511, 513)),
+       seed=st.integers(0, 2 ** 32 - 1), top=st.integers(-280, 150),
+       spread=st.integers(0, 20))
+def test_record_statistics_are_numpys_mean_and_std(length, seed, top, spread):
+    """Across lengths that cross numpy's 8-way unrolled pairwise sum and its
+    128-element blocks, and magnitudes from 1e-300 to 1e150."""
+    _assert_numpy_statistics(length, seed, top, spread)
+
+
+@pytest.mark.parametrize("top, spread", [(-280, 20), (-3, 6), (0, 0), (150, 20)])
+def test_record_statistics_are_numpys_mean_and_std_over_1e5_trials(top, spread):
+    _assert_numpy_statistics(10 ** 5, top + 1000, top, spread)
 
 
 @pytest.mark.parametrize("name", ["budget", "accuracy"])

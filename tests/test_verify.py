@@ -1000,15 +1000,17 @@ def test_estimator_privacy_matches_the_density_ratio(monkeypatch, scale):
     assert violation["datum"] == pytest.approx(density_ratio_worst(scale), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("scale", [5e306, 1e307, 1.7e308])
+@pytest.mark.parametrize("scale", [2.0 ** 53 / 20, 1e16, 1e17, 1e306, 5e306, 1e307, 1.7e308])
 def test_estimator_privacy_rejects_a_grid_beyond_a_float(scale):
+    # from 20 scales = 2**53 on, x - 1 rounds to x at the grid's lower end;
+    # from 5e306 on, the grid's 40 scales overflow too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="privacy grid"):
             check_estimator_privacy(scale)
 
 
-def test_estimator_privacy_passes_at_scale_1e306():
+def test_estimator_privacy_passes_just_below_the_resolution_bound():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_estimator_privacy(1e306).passed
+        assert check_estimator_privacy(4.5e14).passed
